@@ -24,9 +24,6 @@ Three layers, lowest first:
 * the figure drivers (``fig2`` … ``fig7``, ``run_steady_state``,
   ``run_timeline``) — the paper's evaluation, now submitting their sweeps
   through ``run_many``.
-
-Deep imports of ``repro.experiments.builder`` are deprecated; that path
-still works but warns.
 """
 
 from __future__ import annotations
@@ -35,9 +32,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from .experiments._build import Simulation, build_simulation
-from .experiments.config import (SHARDS_ENV, EnvGates, ExperimentConfig,
-                                 env_gates, env_scale, parse_parallel_env,
-                                 parse_shards_env, resolve_shard_count)
+from .experiments.config import (EnvGates, ExperimentConfig, env_gates,
+                                 env_scale, parse_parallel_env)
 from .experiments.extensions import extA_scientific, scientific_config
 from .experiments.figures import (FIGURES, FigureResult, fig2, fig3, fig4,
                                   fig5, fig6, fig7, flash_config,
@@ -59,8 +55,6 @@ from .parallel import (SweepError, TaskError, require_ok, run_many,
 from .model.backend import (MODEL_ENV, compiled_model_viable, model_info,
                             parse_model_env, resolve_model)
 from .proxy import ProxySpec, ProxyTier
-from .shard import (ShardingUnsupported, run_sharded, run_sharded_summary,
-                    shard_viability, sharded_config)
 from .sim.backend import (KERNEL_ENV, backend_of, compiled_viable,
                           kernel_info, make_environment, parse_kernel_env,
                           resolve_kernel)
@@ -162,15 +156,6 @@ __all__ = [
     "require_ok",
     "run_many",
     "run_many_timeline",
-    # within-experiment sharding
-    "SHARDS_ENV",
-    "ShardingUnsupported",
-    "parse_shards_env",
-    "resolve_shard_count",
-    "run_sharded",
-    "run_sharded_summary",
-    "shard_viability",
-    "sharded_config",
     # typed summaries
     "ClusterSummary",
     "LatencyHistogram",

@@ -34,16 +34,8 @@ SCALE_ENV = "REPRO_SCALE"
 #: "0"/"off"/"serial"/"false" forces serial, an integer pins worker count.
 PARALLEL_ENV = "REPRO_PARALLEL"
 
-#: Within-experiment sharding switch (repro.shard): unset/"0"/"off" runs
-#: serial, "on"/"auto" shards viable experiments across available cores,
-#: an integer >= 2 pins the shard count.
-SHARDS_ENV = "REPRO_SHARDS"
-
 _PARALLEL_SERIAL_TOKENS = frozenset({"0", "off", "serial", "false", "no"})
 _PARALLEL_AUTO_TOKENS = frozenset({"", "1", "on", "auto", "true", "yes"})
-
-_SHARDS_OFF_TOKENS = frozenset({"0", "1", "off", "serial", "false", "no"})
-_SHARDS_AUTO_TOKENS = frozenset({"", "on", "auto", "true", "yes"})
 
 
 def env_scale(default: float = 1.0) -> float:
@@ -83,46 +75,19 @@ def parse_parallel_env(raw: Optional[str]) -> "Tuple[Optional[bool], Optional[in
     return True, pinned
 
 
-def parse_shards_env(raw: Optional[str]) -> "Union[None, int, str]":
-    """Interpret a ``REPRO_SHARDS`` value.
-
-    Returns ``None`` when the variable is unset (no gate), ``0`` to force
-    serial, the string ``"auto"`` to shard viable experiments across
-    available cores, or a pinned shard count ``>= 2``.  Raises on tokens
-    that are neither a mode word nor an integer.
-    """
-    if raw is None:
-        return None
-    token = raw.strip().lower()
-    if token in _SHARDS_OFF_TOKENS:
-        return 0
-    if token in _SHARDS_AUTO_TOKENS:
-        return "auto"
-    try:
-        count = int(token)
-    except ValueError:
-        raise ValueError(
-            f"{SHARDS_ENV}={raw!r} is neither a mode token nor a shard "
-            "count") from None
-    return count if count >= 2 else 0
-
-
 @dataclass(frozen=True)
 class EnvGates:
     """Resolved values of the runtime environment gates.
 
     ``parallel`` is ``None`` when the decision is left to the sweep
     executor's auto heuristic; ``parallel_workers`` is the pinned worker
-    count when ``REPRO_PARALLEL=<n>`` named one.  ``shards`` is the
-    resolved within-experiment sharding gate (:func:`parse_shards_env`
-    semantics: ``None`` unset, ``0`` serial, ``"auto"``, or a count).
+    count when ``REPRO_PARALLEL=<n>`` named one.
     """
 
     fastpath: bool
     parallel: Optional[bool]
     parallel_workers: Optional[int]
     scale: float
-    shards: "Union[None, int, str]" = None
     #: kernel backend gate (:func:`repro.sim.backend.parse_kernel_env`
     #: semantics: ``None`` default-reference, ``"reference"``,
     #: ``"compiled"`` or ``"auto"``)
@@ -146,8 +111,6 @@ def env_gates(config: "Optional[ExperimentConfig]" = None, *,
     * ``scale`` — ``config.scale`` when a config is given (the field is
       always explicit on a config), else ``REPRO_SCALE``, else
       ``default_scale``.
-    * ``shards`` — ``config.shards`` when set, else ``REPRO_SHARDS``
-      (:func:`parse_shards_env`), else ``None`` (serial).
     * ``kernel`` — ``config.kernel`` when set, else ``REPRO_KERNEL``
       (:func:`repro.sim.backend.parse_kernel_env`), else ``None``
       (reference).  ``compiled``/``auto`` still degrade silently to the
@@ -162,9 +125,6 @@ def env_gates(config: "Optional[ExperimentConfig]" = None, *,
     if config is not None and config.parallel is not None:
         parallel = config.parallel
     scale = config.scale if config is not None else env_scale(default_scale)
-    shards = parse_shards_env(os.environ.get(SHARDS_ENV))
-    if config is not None and config.shards is not None:
-        shards = config.shards if config.shards >= 2 else 0
     kernel = parse_kernel_env(os.environ.get(KERNEL_ENV))
     if config is not None and config.kernel is not None:
         kernel = parse_kernel_env(config.kernel)
@@ -172,29 +132,8 @@ def env_gates(config: "Optional[ExperimentConfig]" = None, *,
     if config is not None and config.model is not None:
         model = parse_model_env(config.model)
     return EnvGates(fastpath=fastpath_enabled(), parallel=parallel,
-                    parallel_workers=workers, scale=scale, shards=shards,
+                    parallel_workers=workers, scale=scale,
                     kernel=kernel, model=model)
-
-
-def resolve_shard_count(config: "ExperimentConfig") -> Optional[int]:
-    """The effective shard count for one run, or ``None`` for serial.
-
-    ``"auto"`` shards only on multi-core hosts (one core gains nothing
-    from process parallelism); an explicit count is honored regardless so
-    equivalence tests can force sharding anywhere.  The count is clamped
-    to ``n_mds`` — a shard must own at least one node.
-    """
-    gate = env_gates(config).shards
-    if gate is None or gate == 0:
-        return None
-    if gate == "auto":
-        cpus = os.cpu_count() or 1
-        if cpus <= 1:
-            return None
-        count = min(config.n_mds, cpus)
-    else:
-        count = min(config.n_mds, int(gate))
-    return count if count >= 2 else None
 
 
 @dataclass(frozen=True)
@@ -253,13 +192,6 @@ class ExperimentConfig:
     # in-process (debugging, CI reproducibility).  Never affects results —
     # serial and parallel runs are bit-identical by contract.
     parallel: Optional[bool] = None
-
-    # within-experiment sharding (repro.shard): None defers to the
-    # REPRO_SHARDS env gate, <2 forces serial, >=2 requests that many
-    # logical processes.  Like ``parallel``, never affects results —
-    # sharded runs are bit-identical to serial by contract (and fall back
-    # to serial when the config is outside the shardable class).
-    shards: Optional[int] = None
 
     # event-kernel backend (repro.sim.backend): None defers to the
     # REPRO_KERNEL env gate; "reference" pins the pure-python kernel,

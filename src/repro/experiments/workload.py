@@ -16,8 +16,7 @@ spec instead:
 
 The legacy flat knobs keep working: a plain string ``workload`` is mapped
 onto an equivalent :class:`ClosedLoopSpec` by :func:`normalize_workload`
-(bit-identical behaviour, one :class:`DeprecationWarning` per process —
-mirroring the ``repro.experiments.builder`` shim).
+(bit-identical behaviour, one :class:`DeprecationWarning` per process).
 """
 
 from __future__ import annotations

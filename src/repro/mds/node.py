@@ -357,11 +357,6 @@ class MdsNode:
     def _fetch_from_peer(self, inode: Inode, authority: int,
                          trace=None) -> Generator[Event, Any, None]:
         """Replicate metadata from its authority (prefix fetch, §4.2)."""
-        transport = self.cluster._transport
-        if transport is not None and not transport.owns(authority):
-            yield from transport.fetch_from_peer(self, inode, authority,
-                                                 trace)
-            return
         t0 = self.env.now
         peer_missed = False
         yield self.env.timeout(self.params.net_hop_s)
@@ -405,18 +400,13 @@ class MdsNode:
 
     def _notify_evictions(self, evicted) -> None:
         """Tell authorities we dropped their replicas (free, piggybacked)."""
-        transport = self.cluster._transport
         for entry in evicted:
             if entry.replica:
                 authority = self.cluster.strategy.authority_of_ino(entry.ino) \
                     if entry.ino in self.cluster.ns else None
                 if authority is not None and authority != self.node_id:
-                    if transport is not None and not transport.owns(authority):
-                        transport.send_unregister(authority, entry.ino,
-                                                  self.node_id)
-                    else:
-                        self.cluster.nodes[authority].replicas.unregister(
-                            entry.ino, self.node_id)
+                    self.cluster.nodes[authority].replicas.unregister(
+                        entry.ino, self.node_id)
 
     # ------------------------------------------------------------------
     # operations
@@ -620,21 +610,12 @@ class MdsNode:
         holders = self.replicas.drop_ino(ino)
         if not holders:
             return
-        transport = self.cluster._transport
-        if transport is not None:
-            foreign = sorted(h for h in holders if not transport.owns(h))
-            if foreign:
-                # one hop out, exactly when the serial loop below removes
-                # the replica on a local holder
-                transport.send_invalidations(foreign, ino)
         t0 = self.env.now
         yield self.env.timeout(self.params.net_hop_s)
         if trace is not None:
             trace.add("coherence.invalidate", t0, self.env.now,
                       node=self.node_id, detail=f"holders={len(holders)}")
         for holder in holders:
-            if transport is not None and not transport.owns(holder):
-                continue
             peer = self.cluster.nodes[holder]
             entry = peer.cache.get(ino, touch=False)
             # pinned replicas (open handles, cached children) stay put; the

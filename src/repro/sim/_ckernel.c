@@ -23,10 +23,10 @@
  *   Kernel — the calendar: a C array binary heap of
  *     {double when; uint64 key; PyObject *event}, the clock, the shared
  *     sequence counter, and C implementations of timeout/schedule/
- *     schedule_at/peek/step/run_core/run_window including the
- *     refcount-guarded freelist recycling (Py_REFCNT(event) == 1 here is
- *     exactly getrefcount(event) == 2 in the python loop: the popped
- *     local plus getrefcount's argument).
+ *     peek/step/run_core including the refcount-guarded freelist
+ *     recycling (Py_REFCNT(event) == 1 here is exactly
+ *     getrefcount(event) == 2 in the python loop: the popped local plus
+ *     getrefcount's argument).
  *
  * The wrapper class lives in repro/sim/backend.py; it binds the Kernel's
  * methods straight into instance slots so python callers dispatch into C
@@ -521,40 +521,6 @@ Kernel_schedule(Kernel *self, PyObject *args, PyObject *kwargs)
 }
 
 static PyObject *
-Kernel_schedule_at(Kernel *self, PyObject *args, PyObject *kwargs)
-{
-    static char *kwlist[] = {"event", "when", "priority", NULL};
-    PyObject *event;
-    PyObject *when_obj;
-    long priority = (long)CK_NORMAL;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO|$l", kwlist,
-                                     &event, &when_obj, &priority))
-        return NULL;
-    double when = PyFloat_AsDouble(when_obj);
-    if (when == -1.0 && PyErr_Occurred())
-        return NULL;
-    if (when < self->now) {
-        PyObject *now_obj = PyFloat_FromDouble(self->now);
-        if (now_obj == NULL)
-            return NULL;
-        PyErr_Format(PyExc_ValueError,
-                     "schedule_at(%R) is in the past (now=%R)",
-                     when_obj, now_obj);
-        Py_DECREF(now_obj);
-        return NULL;
-    }
-    unsigned long long seq = self->seq++;
-    if (stamp_scheduled_at(event, when_obj, when) < 0)
-        return NULL;
-    Py_INCREF(event);
-    if (heap_push(self, when,
-                  ((unsigned long long)priority << CK_PRIO_SHIFT) | seq,
-                  event) < 0)
-        return NULL;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
 Kernel_peek(Kernel *self, PyObject *Py_UNUSED(ignored))
 {
     if (self->heap_len == 0)
@@ -707,13 +673,11 @@ Kernel_step(Kernel *self, PyObject *Py_UNUSED(ignored))
 }
 
 static int
-run_loop(Kernel *self, double boundary, int inclusive)
+run_loop(Kernel *self, double boundary)
 {
-    /* the inlined run()/run_window() body, freelist recycling included */
+    /* the inlined run() body, freelist recycling included */
     int recycle = self->fastlane;
-    while (self->heap_len
-           && (inclusive ? self->heap[0].when <= boundary
-                         : self->heap[0].when < boundary)) {
+    while (self->heap_len && self->heap[0].when <= boundary) {
         double when;
         PyObject *event = heap_pop(self, &when);
         self->now = when;
@@ -755,21 +719,10 @@ Kernel_run_core(Kernel *self, PyObject *arg)
     double stop_at = PyFloat_AsDouble(arg);
     if (stop_at == -1.0 && PyErr_Occurred())
         return NULL;
-    if (run_loop(self, stop_at, 1) < 0)
+    if (run_loop(self, stop_at) < 0)
         return NULL;
     if (!isinf(stop_at) && stop_at > self->now)
         self->now = stop_at;
-    Py_RETURN_NONE;
-}
-
-static PyObject *
-Kernel_run_window(Kernel *self, PyObject *arg)
-{
-    double stop_before = PyFloat_AsDouble(arg);
-    if (stop_before == -1.0 && PyErr_Occurred())
-        return NULL;
-    if (run_loop(self, stop_before, 0) < 0)
-        return NULL;
     Py_RETURN_NONE;
 }
 
@@ -793,17 +746,12 @@ static PyMethodDef Kernel_methods[] = {
      "timeout(delay, value=None) -> Timeout due `delay` units from now."},
     {"schedule", (PyCFunction)Kernel_schedule, METH_VARARGS | METH_KEYWORDS,
      "schedule(event, *, delay=0.0, priority=NORMAL)"},
-    {"schedule_at", (PyCFunction)Kernel_schedule_at,
-     METH_VARARGS | METH_KEYWORDS,
-     "schedule_at(event, when, *, priority=NORMAL)"},
     {"peek", (PyCFunction)Kernel_peek, METH_NOARGS,
      "Time of the next scheduled event, or inf."},
     {"step", (PyCFunction)Kernel_step, METH_NOARGS,
      "Process exactly one event."},
     {"run_core", (PyCFunction)Kernel_run_core, METH_O,
      "Run every event due at or before the float boundary."},
-    {"run_window", (PyCFunction)Kernel_run_window, METH_O,
-     "Run every event strictly before the float boundary."},
     {NULL}
 };
 

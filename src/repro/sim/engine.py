@@ -403,24 +403,6 @@ class Environment:
         event._scheduled_at = when
         _heappush(self._queue, (when, (priority << _PRIO_SHIFT) | seq, event))
 
-    def schedule_at(self, event: Event, when: float, *,
-                    priority: int = NORMAL) -> None:
-        """Place a triggered event on the calendar at absolute time ``when``.
-
-        The sharded executor uses this to inject cross-shard messages at
-        their precomputed arrival times; the entry draws this calendar's
-        own sequence counter, so injected events interleave with local
-        ones under exactly the ``(time, priority, seq)`` order the serial
-        kernel would have produced.
-        """
-        if when < self._now:
-            raise ValueError(
-                f"schedule_at({when!r}) is in the past (now={self._now!r})")
-        seq = self._seq
-        self._seq = seq + 1
-        event._scheduled_at = when
-        _heappush(self._queue, (when, (priority << _PRIO_SHIFT) | seq, event))
-
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""
         return self._queue[0][0] if self._queue else float("inf")
@@ -522,44 +504,3 @@ class Environment:
         if stop_at != float("inf"):
             self._now = max(self._now, stop_at)
         return None
-
-    def run_window(self, stop_before: float) -> None:
-        """Process every event strictly before ``stop_before``.
-
-        The conservative-synchronisation window of the sharded executor:
-        a shard may safely simulate ``[now, barrier + lookahead)`` because
-        no cross-shard message can arrive earlier than one lookahead past
-        the barrier.  Unlike :meth:`run`, the boundary is **exclusive**
-        (events at exactly ``stop_before`` wait for the next window, after
-        message exchange) and the clock is left at the last processed
-        event so later injections at ``stop_before`` are still in the
-        future.  The loop is :meth:`run`'s inlined body, including the
-        fast-lane freelist recycling.
-        """
-        queue = self._queue
-        heappop = _heappop
-        recycle = self._fastlane
-        timeout_pool = self._timeout_pool
-        event_pool = self._event_pool
-        while queue and queue[0][0] < stop_before:
-            when, _key, event = heappop(queue)
-            self._now = when
-            callbacks = event.callbacks
-            event.callbacks = None  # mark processed
-            if callbacks:
-                for callback in callbacks:
-                    callback(event)
-            if not event._ok and not event._defused:
-                raise event._value
-            if recycle:
-                cls = event.__class__
-                if cls is Timeout:
-                    if (len(timeout_pool) < _POOL_MAX
-                            and getrefcount(event) == 2):
-                        event._value = None  # don't pin the payload
-                        timeout_pool.append(event)
-                elif cls is Event:
-                    if (len(event_pool) < _POOL_MAX
-                            and getrefcount(event) == 2):
-                        event._value = None
-                        event_pool.append(event)

@@ -1,8 +1,6 @@
-"""The public facade: surface completeness, run_experiment, deprecations."""
+"""The public facade: surface completeness, run_experiment, no deep imports."""
 
-import importlib
-import sys
-import warnings
+import re
 from pathlib import Path
 
 import pytest
@@ -79,33 +77,14 @@ class TestSimulationSummary:
         assert summary.window[1] <= 0.4
 
 
-class TestDeprecatedBuilderPath:
-    def test_import_warns_but_works(self):
-        sys.modules.pop("repro.experiments.builder", None)
-        with pytest.warns(DeprecationWarning, match="repro.api"):
-            import repro.experiments.builder as legacy
-        assert legacy.build_simulation is api.build_simulation
-        sim = legacy.build_simulation(small_cfg())
-        assert sim.cluster.n_mds == 3
-
-    def test_reimport_after_warning_still_exposes_symbols(self):
-        sys.modules.pop("repro.experiments.builder", None)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            legacy = importlib.import_module("repro.experiments.builder")
-        for name in ("Simulation", "build_simulation", "_flash_target",
-                     "_make_workload", "_size_cache"):
-            assert hasattr(legacy, name), name
-
-
 class TestNoDeepImportsRemain:
     @pytest.mark.parametrize("tree", ["benchmarks", "examples"])
     def test_consumers_use_the_facade(self, tree):
         offenders = []
         for path in (REPO / tree).rglob("*.py"):
             text = path.read_text()
-            if "repro.experiments.builder" in text:
+            if re.search(r"(from|import)\s+repro\.experiments\b", text):
                 offenders.append(path.name)
         assert not offenders, (
             f"{tree} must import via repro.api, found deep imports of "
-            f"repro.experiments.builder in: {offenders}")
+            f"repro.experiments in: {offenders}")

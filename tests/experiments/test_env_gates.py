@@ -1,5 +1,7 @@
 """Consolidated environment-gate parsing and precedence."""
 
+import os
+
 import pytest
 
 from repro._fastpath import FASTPATH_ENV
@@ -60,14 +62,13 @@ class TestParseKernelEnv:
 
 class TestEnvGatesPrecedence:
     def test_defaults(self, monkeypatch):
-        monkeypatch.delenv(PARALLEL_ENV, raising=False)
-        monkeypatch.delenv(SCALE_ENV, raising=False)
-        monkeypatch.delenv(FASTPATH_ENV, raising=False)
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
+        for name in list(os.environ):
+            if name.startswith("REPRO_"):
+                monkeypatch.delenv(name)
         gates = env_gates()
         assert gates == EnvGates(fastpath=True, parallel=None,
-                                 parallel_workers=None, scale=1.0)
-        assert gates.kernel is None
+                                 parallel_workers=None, scale=1.0,
+                                 kernel=None, model=None)
 
     def test_env_vars_override_defaults(self, monkeypatch):
         monkeypatch.setenv(PARALLEL_ENV, "6")

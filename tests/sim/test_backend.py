@@ -2,8 +2,8 @@
 
 Gate-token parsing and precedence live in
 ``tests/experiments/test_env_gates.py``; the ordering/equivalence proofs
-live in the backend-parametrized hotpath, fastpath-equivalence and shard
-suites.  This module covers the seam itself: which class each gate value
+live in the backend-parametrized hotpath, fastpath-equivalence and
+chunked-run suites.  This module covers the seam itself: which class each gate value
 yields, the silent fallback when the extension is missing, the
 provenance fields, and the compiled ``Timeout``'s API parity with the
 reference event type.

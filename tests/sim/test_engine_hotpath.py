@@ -15,23 +15,7 @@ import random
 
 import pytest
 
-from repro.sim import CompiledEnvironment, Environment, NORMAL, URGENT
-from repro.sim.backend import compiled_viable
-
-BACKENDS = [
-    pytest.param(Environment, id="reference"),
-    pytest.param(CompiledEnvironment, id="compiled",
-                 marks=pytest.mark.skipif(
-                     not compiled_viable(),
-                     reason="compiled kernel extension not built "
-                            "(python tools/build_kernel.py)")),
-]
-
-
-@pytest.fixture(params=BACKENDS)
-def make_env(request):
-    """Backend-parametrized Environment factory: same surface, both kernels."""
-    return request.param
+from repro.sim import NORMAL, URGENT
 
 
 def test_event_order_at_equal_time_and_priority_is_fifo(make_env):

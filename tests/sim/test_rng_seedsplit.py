@@ -1,9 +1,11 @@
-"""Seed-splitting guarantees that sharded execution leans on.
+"""Seed-splitting guarantees that build order and worker processes lean on.
 
-Every client's stream is derived statelessly from ``(master_seed,
-"client.<i>")``, so a worker that builds only its own clients draws
-exactly the bits the serial build would have handed those clients — no
-matter how many shards exist or which process asks.
+Every named stream is derived statelessly from ``(master_seed, name)``,
+so a stream's draws never depend on which other streams were created
+before it, or in which order.  That is what lets the namespace-snapshot
+memo generate a tree from a fresh stream factory, and what makes a
+config run in a forked ``repro.parallel`` worker draw exactly the bits
+the serial run would have.
 """
 
 import multiprocessing
@@ -13,20 +15,20 @@ import pytest
 from repro.sim.rng import RngStreams, derive_seed
 
 
-class TestShardInvariance:
+class TestOrderInvariance:
     def test_streams_do_not_depend_on_construction_order(self):
-        # shard 0 builds clients {0, 2}, shard 1 builds {1, 3}; a serial
-        # run builds all four in order — every stream must agree
-        serial = RngStreams(42)
-        shard0 = RngStreams(42)
-        shard1 = RngStreams(42)
-        draws = {i: [serial.py_stream(f"client.{i}").random()
+        # one factory builds clients {0, 2}, another {1, 3}; a third
+        # builds all four in order — every stream must agree
+        in_order = RngStreams(42)
+        evens = RngStreams(42)
+        odds = RngStreams(42)
+        draws = {i: [in_order.py_stream(f"client.{i}").random()
                      for _ in range(32)] for i in range(4)}
         for i in (0, 2):
-            assert [shard0.py_stream(f"client.{i}").random()
+            assert [evens.py_stream(f"client.{i}").random()
                     for _ in range(32)] == draws[i]
         for i in (1, 3):
-            assert [shard1.py_stream(f"client.{i}").random()
+            assert [odds.py_stream(f"client.{i}").random()
                     for _ in range(32)] == draws[i]
 
     def test_skipping_streams_perturbs_nothing(self):
@@ -60,7 +62,7 @@ def _worker_draws(args):
 
 @pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
-    reason="needs fork to mirror the shard workers")
+    reason="needs fork to mirror the sweep workers")
 class TestProcessBoundary:
     def test_deterministic_across_fork(self):
         local = _worker_draws((42, "client.3", 64))

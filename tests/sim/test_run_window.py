@@ -1,71 +1,19 @@
-"""Kernel support for sharded execution: schedule_at and run_window."""
+"""Chunked-run equivalence: driving a run in steps changes nothing.
+
+Benchmarks and timelines drive one simulation through many successive
+``run(until=t)`` / ``Simulation.run_to`` calls.  Every step boundary must
+be invisible: the event order, the clock and the final summary equal
+those of a single call to the same end time.
+"""
 
 import pytest
 
-from repro.sim import Environment
+from repro.api import build_simulation, overload_config, scaling_config
 
 
-def test_schedule_at_fires_at_absolute_time():
-    env = Environment()
-    seen = []
-    carrier = env.event()
-    carrier._triggered = True
-    carrier._ok = True
-    carrier._value = "payload"
-    carrier.callbacks.append(lambda ev: seen.append((env.now, ev._value)))
-    env.schedule_at(carrier, 1.5)
-    env.run(until=2.0)
-    assert seen == [(1.5, "payload")]
-
-
-def test_schedule_at_rejects_the_past():
-    env = Environment()
-    env.run(until=1.0)
-    ev = env.event()
-    ev._triggered = True
-    with pytest.raises(ValueError):
-        env.schedule_at(ev, 0.5)
-
-
-def test_run_window_strict_upper_bound():
-    env = Environment()
-    fired = []
-
-    def note(tag):
-        return lambda ev: fired.append(tag)
-
-    for when, tag in [(0.9, "before"), (1.0, "at"), (1.1, "after")]:
-        ev = env.event()
-        ev._triggered = True
-        ev.callbacks.append(note(tag))
-        env.schedule_at(ev, when)
-    env.run_window(1.0)
-    assert fired == ["before"]
-    env.run_window(1.2)
-    assert fired == ["before", "at", "after"]
-
-
-def test_run_window_allows_injection_at_the_boundary():
-    # the clock must not advance past the last processed event, so a
-    # message arriving exactly at the window bound is still schedulable
-    env = Environment()
-    ev = env.event()
-    ev._triggered = True
-    env.schedule_at(ev, 0.4)
-    env.run_window(1.0)
-    assert env.now == 0.4
-    late = env.event()
-    late._triggered = True
-    env.schedule_at(late, 1.0)  # would raise if now had jumped to 1.0
-    fired = []
-    late.callbacks.append(lambda _ev: fired.append(env.now))
-    env.run_window(1.5)
-    assert fired == [1.0]
-
-
-def test_windowed_run_equals_single_run():
-    def trace_of(windowed):
-        env = Environment()
+def test_windowed_run_equals_single_run(make_env):
+    def trace_of(stepped):
+        env = make_env()
         log = []
 
         def ticker(period, tag):
@@ -75,14 +23,36 @@ def test_windowed_run_equals_single_run():
 
         env.process(ticker(0.3, "a"))
         env.process(ticker(0.7, "b"))
-        if windowed:
+        if stepped:
             bound = 0.0
             while bound < 5.0:
                 bound = min(bound + 0.25, 5.0)
-                env.run_window(bound)
-            env.run(until=5.0)
+                env.run(until=bound)
         else:
             env.run(until=5.0)
         return log, env.now
 
     assert trace_of(False) == trace_of(True)
+
+
+@pytest.mark.parametrize("config", [
+    pytest.param(scaling_config("DynamicSubtree", 3, 0.1, seed=7),
+                 id="dynamic-subtree"),
+    pytest.param(overload_config(1.25, proxy=True, hotspot=True, scale=0.1,
+                                 seed=7),
+                 id="open-loop-proxy"),
+])
+def test_run_to_in_steps_equals_one_call(config):
+    end = config.run_until_s
+    one = build_simulation(config)
+    one.run_to(end)
+
+    stepped = build_simulation(config)
+    steps = 40
+    for k in range(1, steps + 1):
+        stepped.run_to(end * k / steps)
+
+    assert stepped.env.now == one.env.now == end
+    assert one.summary().total_ops > 0
+    assert repr(stepped.summary()) == repr(one.summary())
+    assert stepped.summary() == one.summary()

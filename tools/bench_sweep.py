@@ -33,7 +33,7 @@ sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_common  # noqa: E402  (tools-dir import)
 
 from repro.api import (require_ok, run_many, run_steady_state,  # noqa: E402
-                       scaling_config, shard_viability, sharded_config)
+                       scaling_config)
 from repro.experiments.figures import _sizes_for  # noqa: E402
 from repro.partition import strategy_names  # noqa: E402
 
@@ -114,23 +114,11 @@ def main(argv=None) -> int:
     print(f"single run: {single.total_ops} ops in {best:.2f}s (best of "
           f"{len(walls)}) -> {single.total_ops / best:.0f} sim-ops/wall-s")
 
-    # shard-mode viability: can *within-experiment* sharding (repro.shard)
-    # win on this host, and is the reference shard config still in the
-    # shardable class?  Recorded so a report from one host does not pin
-    # another host's expectations.
-    shard_reason = shard_viability(sharded_config(n_mds=4), 2)
-    shard_mode = {
-        "multi_core": cpus > 1,
-        "config_shardable": shard_reason is None,
-        "nonviable_reason": shard_reason,
-    }
-
     report = {
         "benchmark": "parallel sweep executor + kernel hot path",
         "quick": args.quick,
         "scale": scale,
         **bench_common.host_fields(),
-        "shard_mode": shard_mode,
         "sweep": {
             "n_configs": len(configs),
             "total_sim_ops": sum(r.total_ops for r in serial_results),

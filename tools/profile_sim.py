@@ -11,11 +11,6 @@ per-call costs) and reports min and median wall time.  ``--parallel`` /
 ``--serial`` instead drive a ``--seeds``-wide sweep through
 ``repro.parallel.run_many`` in the chosen mode, timing the whole sweep.
 
-``--shards N`` instead times the *same single experiment* partitioned N
-ways through ``repro.shard`` (a shardable StaticSubtree config replaces
-the default DynamicSubtree one, which cannot shard), so serial,
-process-pool and sharded modes are comparable from one entry point.
-
 ``--backend`` pins the event-kernel backend (``REPRO_KERNEL``) for the
 run; ``--backend both`` times one run on each backend and prints their
 kernel counters side by side — the quickest way to see what the compiled
@@ -32,7 +27,6 @@ Usage:
     python tools/profile_sim.py --sort tottime --limit 40
     python tools/profile_sim.py --repeat 5
     python tools/profile_sim.py --parallel --seeds 8 --repeat 3
-    python tools/profile_sim.py --shards 4 --repeat 3
     python tools/profile_sim.py --backend both --repeat 3
     python tools/profile_sim.py --breakdown
 """
@@ -49,8 +43,7 @@ import time
 
 from repro.api import (KERNEL_ENV, build_simulation, compiled_viable,
                        resolve_kernel, run_many, require_ok,
-                       run_sharded_summary, run_steady_state, scaling_config,
-                       shard_viability, sharded_config)
+                       run_steady_state, scaling_config)
 
 
 def _sweep_once(configs, mode):
@@ -170,9 +163,6 @@ def main(argv=None) -> int:
                            "(process pool)")
     mode.add_argument("--serial", action="store_true",
                       help="time the same sweep forced serial in-process")
-    mode.add_argument("--shards", type=int, metavar="N",
-                      help="time one shardable experiment partitioned N "
-                           "ways via repro.shard")
     parser.add_argument("--breakdown", action="store_true",
                         help="profile one run and report time bucketed "
                              "by subsystem (kernel/model/observability) "
@@ -186,18 +176,17 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
-    if args.breakdown and (args.parallel or args.serial
-                           or args.shards is not None or args.repeat > 1
+    if args.breakdown and (args.parallel or args.serial or args.repeat > 1
                            or args.backend == "both"):
         parser.error("--breakdown profiles a single run; drop "
-                     "--parallel/--serial/--shards/--repeat/--backend both")
+                     "--parallel/--serial/--repeat/--backend both")
     if args.backend in ("compiled", "both") and not compiled_viable():
         parser.error("compiled kernel extension not built; run "
                      "`python tools/build_kernel.py` first")
     if args.backend == "both":
-        if args.parallel or args.serial or args.shards is not None:
+        if args.parallel or args.serial:
             parser.error("--backend both compares single runs; drop "
-                         "--parallel/--serial/--shards")
+                         "--parallel/--serial")
         cfg = scaling_config(args.strategy, args.n_mds, args.scale)
         prior_env = os.environ.get(KERNEL_ENV)
         try:
@@ -212,23 +201,6 @@ def main(argv=None) -> int:
         os.environ[KERNEL_ENV] = args.backend
     print(f"kernel backend: {resolve_kernel()} "
           f"(compiled extension {'built' if compiled_viable() else 'absent'})")
-
-    if args.shards is not None:
-        cfg = sharded_config(n_mds=max(args.n_mds, args.shards),
-                             scale=args.scale)
-        reason = shard_viability(cfg, args.shards)
-        if reason is not None:
-            parser.error(f"--shards {args.shards} not viable: {reason}")
-        walls = []
-        ops = 0
-        for i in range(args.repeat):
-            t = time.perf_counter()
-            summary = run_sharded_summary(cfg, args.shards)
-            walls.append(time.perf_counter() - t)
-            ops = summary.total_ops
-            print(f"  sharded run {i + 1}/{args.repeat}: {walls[-1]:.2f}s")
-        _report(walls, ops, f"single experiment ({args.shards} shards)")
-        return 0
 
     config = scaling_config(args.strategy, args.n_mds, args.scale)
 
