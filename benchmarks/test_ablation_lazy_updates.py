@@ -31,8 +31,9 @@ STORMY_WEIGHTS = {
 def run_lh(drain_rate: float):
     cfg = scaling_config("LazyHybrid", n_mds=6, scale=bench_scale())
     cfg = cfg.replace(
-        op_weights=STORMY_WEIGHTS,
-        workload_args={"move_dir_prob": 0.3, "dir_chmod_fraction": 0.5},
+        workload=dataclasses.replace(
+            cfg.workload, op_weights=STORMY_WEIGHTS,
+            args={"move_dir_prob": 0.3, "dir_chmod_fraction": 0.5}),
         params=dataclasses.replace(cfg.params,
                                    lh_drain_rate_per_s=drain_rate))
     sim = build_simulation(cfg)

@@ -8,6 +8,8 @@ node mid-run, recovers it warm or cold, and compares how it performs in
 the first seconds back.
 """
 
+import dataclasses
+
 from repro.api import scaling_config
 from repro.api import build_simulation
 from repro.mds import fail_node, recover_node
@@ -30,9 +32,10 @@ UPDATE_HEAVY = {
 
 
 def run_recovery(warm: bool):
-    cfg = scaling_config("DynamicSubtree", n_mds=6, scale=bench_scale(),
-                         op_weights=UPDATE_HEAVY,
-                         workload_args={"move_dir_prob": 0.05})
+    cfg = scaling_config("DynamicSubtree", n_mds=6, scale=bench_scale())
+    cfg = cfg.replace(workload=dataclasses.replace(
+        cfg.workload, op_weights=UPDATE_HEAVY,
+        args={"move_dir_prob": 0.05}))
     sim = build_simulation(cfg)
     env = sim.env
     victim = 0

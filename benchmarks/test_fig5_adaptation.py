@@ -28,7 +28,7 @@ def test_fig5_and_fig6_workload_shift(benchmark, scale):
 
     dyn = results["DynamicSubtree"]
     sta = results["StaticSubtree"]
-    shift_t = dyn.config.workload_args["shift_time_s"]
+    shift_t = dyn.config.workload.args["shift_time_s"]
 
     # recovery window: from one balance round after the shift to a few
     # rounds later (the long tail degrades as the created namespace grows)

@@ -25,7 +25,7 @@ def main() -> None:
     dynamic = run_timeline(shift_config("DynamicSubtree", SCALE),
                            sample_interval_s=1.0)
 
-    shift_t = static.config.workload_args["shift_time_s"]
+    shift_t = static.config.workload.args["shift_time_s"]
     rows = []
     for (t, smin, savg, smax), (_t, dmin, davg, dmax) in zip(
             static.throughput_series, dynamic.throughput_series):

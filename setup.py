@@ -5,8 +5,8 @@ extensions: ``repro.sim._ckernel`` (the compiled event calendar) and
 ``repro.model._cmodel`` (the compiled MDS-model hot spots).  Both are
 **optional**: when no C toolchain (or no CPython headers) is available
 the build logs a warning and the wheel/editable install proceeds without
-them — at runtime ``REPRO_KERNEL=compiled`` / ``REPRO_MODEL=compiled``
-then fall back silently to the pure-python reference implementations
+them — at runtime ``REPRO_BACKEND=compiled`` then falls back silently
+to the pure-python reference implementations
 (see ``repro/sim/backend.py`` and ``repro/model/backend.py``).
 
 Build in place for a source checkout (puts the .so files next to the

@@ -1,30 +1,28 @@
-"""Request-path fast-lane switch.
+"""Request-path fast-lane switch (test-only).
 
-The fast lane — the namespace resolution memo and the partition-strategy
-authority cache — is pure memoisation: with correct invalidation it changes
-wall-clock cost only, never simulated behaviour.  ``REPRO_FASTPATH=0``
-disables it so CI can assert that a fixed-seed run produces bit-identical
-``Simulation.summary()`` metrics either way (the golden-equivalence check).
+The fast lane — the namespace resolution memo, the partition-strategy
+authority cache and the kernel's event elision — is pure memoisation: with
+correct invalidation it changes wall-clock cost only, never simulated
+behaviour.  The memo-off path is kept as the golden oracle the tests
+compare against: they set :data:`ENABLED` to ``False`` (with
+``monkeypatch``, or for a whole session with ``pytest --fastpath-off``)
+and assert that fixed-seed ``Simulation.summary()`` metrics are
+bit-identical either way.
 
 The switch is read when a simulation is wired up (``MdsCluster.__init__`` /
-``Strategy.bind``), not per request: the hot path itself only ever does a
-``is None`` check on the memo handle.
+``Strategy.bind`` / ``Environment.__init__``), not per request: the hot
+path itself only ever does a ``is None`` check on the memo handle.
 """
 
 from __future__ import annotations
 
-import os
-
-#: Environment switch: unset/"1"/"on" enables the fast lane (default),
-#: "0"/"off"/"false"/"no" disables it for golden-equivalence runs.
-FASTPATH_ENV = "REPRO_FASTPATH"
-
-_OFF_TOKENS = frozenset({"0", "off", "false", "no", "serial"})
+#: the fast lane is on unless a test turns it off
+ENABLED = True
 
 
 def fastpath_enabled() -> bool:
-    """True unless ``REPRO_FASTPATH`` disables the request-path fast lane."""
-    return os.environ.get(FASTPATH_ENV, "").strip().lower() not in _OFF_TOKENS
+    """True unless a test has switched the request-path fast lane off."""
+    return ENABLED
 
 
-__all__ = ["FASTPATH_ENV", "fastpath_enabled"]
+__all__ = ["fastpath_enabled"]

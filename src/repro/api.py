@@ -44,19 +44,17 @@ from .experiments.overload import (fig_hotspot, fig_overload,
 from .experiments.runner import (SteadyStateResult, TimelineResult,
                                  run_steady_state, run_timeline)
 from .experiments.summary import ClusterSummary
-from .experiments.workload import (ClosedLoopSpec, OpenLoopSpec,
-                                   WorkloadSpec, normalize_workload)
+from .experiments.workload import ClosedLoopSpec, OpenLoopSpec, WorkloadSpec
 from .mds import SimParams
 from .metrics import LatencyHistogram, LatencySummary
 from .obs import (JsonlSink, RingBufferSink, Span, Trace, Tracer,
                   export_jsonl, read_jsonl)
 from .parallel import (SweepError, TaskError, require_ok, run_many,
                        run_many_timeline)
-from .model.backend import (MODEL_ENV, compiled_model_viable, model_info,
-                            parse_model_env, resolve_model)
+from .model.backend import compiled_model_viable, model_info, resolve_model
 from .proxy import ProxySpec, ProxyTier
-from .sim.backend import (KERNEL_ENV, backend_of, compiled_viable,
-                          kernel_info, make_environment, parse_kernel_env,
+from .sim.backend import (BACKEND_ENV, backend_of, compiled_viable,
+                          kernel_info, make_environment, parse_backend_env,
                           resolve_kernel)
 
 
@@ -131,21 +129,17 @@ __all__ = [
     "build_simulation",
     "env_gates",
     "env_scale",
-    "normalize_workload",
     "parse_parallel_env",
-    # kernel backend selection
-    "KERNEL_ENV",
+    # backend selection (REPRO_BACKEND: kernel and model)
+    "BACKEND_ENV",
+    "parse_backend_env",
     "backend_of",
     "compiled_viable",
     "kernel_info",
     "make_environment",
-    "parse_kernel_env",
     "resolve_kernel",
-    # model backend selection
-    "MODEL_ENV",
     "compiled_model_viable",
     "model_info",
-    "parse_model_env",
     "resolve_model",
     # one-call running
     "RunResult",

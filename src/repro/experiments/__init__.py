@@ -12,8 +12,7 @@ from .overload import (fig_hotspot, fig_overload, hotspot_config,
 from .runner import (SteadyStateResult, TimelineResult, run_steady_state,
                      run_timeline)
 from .summary import ClusterSummary, summarize_simulation
-from .workload import (ClosedLoopSpec, OpenLoopSpec, WorkloadSpec,
-                       normalize_workload)
+from .workload import ClosedLoopSpec, OpenLoopSpec, WorkloadSpec
 
 __all__ = [
     "ClosedLoopSpec",
@@ -41,7 +40,6 @@ __all__ = [
     "fig_overload",
     "flash_config",
     "hotspot_config",
-    "normalize_workload",
     "overload_config",
     "parse_parallel_env",
     "run_shift_experiment",

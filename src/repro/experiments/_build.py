@@ -26,7 +26,8 @@ from ..proxy import ProxyTier
 from ..sim import Environment, RngStreams
 from ..sim.backend import make_environment
 from .config import ExperimentConfig, env_gates
-from .workload import ClosedLoopSpec, OpenLoopSpec, WorkloadSpec
+from .workload import (WORKLOAD_ARGS, ClosedLoopSpec, OpenLoopSpec,
+                       WorkloadSpec)
 
 if TYPE_CHECKING:  # pragma: no cover
     from .summary import ClusterSummary
@@ -150,13 +151,13 @@ def _make_snapshot(config: ExperimentConfig,
 
 def build_simulation(config: ExperimentConfig) -> Simulation:
     """Construct namespace, cluster, clients and tracer per the config."""
-    gates = env_gates(config)
-    env = make_environment(kernel=gates.kernel)
-    # Record the resolved model gate process-wide so structures built
+    backend = env_gates(config).backend
+    env = make_environment(kernel=backend)
+    # Record the resolved gate process-wide so model structures built
     # later in the run (failover cache resets, proxy tiers) follow the
     # same backend as the ones built here.
-    set_model_gate(gates.model)
-    model_backend = resolve_model(gates.model)
+    set_model_gate(backend)
+    model_backend = resolve_model(backend)
     streams = RngStreams(config.seed)
 
     ns, snapshot = _make_snapshot(config, streams)
@@ -170,7 +171,7 @@ def build_simulation(config: ExperimentConfig) -> Simulation:
     cluster = MdsCluster(env, ns, strategy, params, tracer=tracer)
     cluster.start()
 
-    spec = config.workload_spec()
+    spec = config.workload.validate()
     workload = _make_workload(config, spec, ns, snapshot, strategy)
 
     # clients talk to the proxy tier when one is configured, otherwise
@@ -242,8 +243,7 @@ def _make_workload(config: ExperimentConfig, spec: WorkloadSpec,
         spec_kw = dict(think_time_s=spec.think_time_s)
         if weights is not None:
             spec_kw["op_weights"] = weights
-        for key in ("move_dir_prob", "shared_tree_prob",
-                    "dir_chmod_fraction", "mkdir_fraction"):
+        for key in WORKLOAD_ARGS[kind]:
             if key in args:
                 spec_kw[key] = args[key]
         return GeneralWorkload(ns, snapshot.user_roots,

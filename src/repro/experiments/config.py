@@ -17,15 +17,12 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple
 
-from .._fastpath import FASTPATH_ENV, fastpath_enabled
 from ..mds import SimParams
-from ..mds.messages import OpType
-from ..model.backend import MODEL_ENV, parse_model_env
 from ..proxy import ProxySpec
-from ..sim.backend import KERNEL_ENV, parse_kernel_env
-from .workload import WorkloadSpec, normalize_workload
+from ..sim.backend import BACKEND_ENV, REFERENCE, parse_backend_env
+from .workload import ClosedLoopSpec, OpenLoopSpec, WorkloadSpec
 
 #: Experiment scale factor: multiplies namespace, population and duration.
 SCALE_ENV = "REPRO_SCALE"
@@ -81,20 +78,15 @@ class EnvGates:
 
     ``parallel`` is ``None`` when the decision is left to the sweep
     executor's auto heuristic; ``parallel_workers`` is the pinned worker
-    count when ``REPRO_PARALLEL=<n>`` named one.
+    count when ``REPRO_PARALLEL=<n>`` named one.  ``backend`` is
+    ``"reference"`` or ``"compiled"`` (the latter still falls back
+    silently when an extension is not built).
     """
 
-    fastpath: bool
     parallel: Optional[bool]
     parallel_workers: Optional[int]
     scale: float
-    #: kernel backend gate (:func:`repro.sim.backend.parse_kernel_env`
-    #: semantics: ``None`` default-reference, ``"reference"``,
-    #: ``"compiled"`` or ``"auto"``)
-    kernel: Optional[str] = None
-    #: model backend gate (:func:`repro.model.backend.parse_model_env`
-    #: semantics, same token set as ``kernel``)
-    model: Optional[str] = None
+    backend: str
 
 
 def env_gates(config: "Optional[ExperimentConfig]" = None, *,
@@ -103,37 +95,26 @@ def env_gates(config: "Optional[ExperimentConfig]" = None, *,
 
     Precedence, per gate: **explicit config field > env var > default**.
 
-    * ``fastpath`` — no config field exists (the fast lane is pure
-      memoisation, never a per-experiment knob): ``REPRO_FASTPATH``
-      (default on, see :data:`repro._fastpath.FASTPATH_ENV`).
     * ``parallel`` — ``config.parallel`` when set, else ``REPRO_PARALLEL``
       (:func:`parse_parallel_env`), else ``None`` (auto).
     * ``scale`` — ``config.scale`` when a config is given (the field is
       always explicit on a config), else ``REPRO_SCALE``, else
       ``default_scale``.
-    * ``kernel`` — ``config.kernel`` when set, else ``REPRO_KERNEL``
-      (:func:`repro.sim.backend.parse_kernel_env`), else ``None``
-      (reference).  ``compiled``/``auto`` still degrade silently to the
-      reference kernel when the extension is unavailable — resolution to
-      an actual backend happens in :func:`repro.sim.backend.resolve_kernel`.
-    * ``model`` — ``config.model`` when set, else ``REPRO_MODEL``
-      (:func:`repro.model.backend.parse_model_env`), else ``None``
-      (reference).  Same silent-fallback contract as ``kernel``;
-      resolution happens in :func:`repro.model.backend.resolve_model`.
+    * ``backend`` — no config field exists (the backends are
+      bit-identical, never a per-experiment knob): ``REPRO_BACKEND``
+      (:func:`repro.sim.backend.parse_backend_env`), else ``reference``.
+      It selects both the kernel and the model structures; ``compiled``
+      degrades silently per extension when that extension is unavailable
+      (:func:`repro.sim.backend.resolve_kernel`,
+      :func:`repro.model.backend.resolve_model`).
     """
     parallel, workers = parse_parallel_env(os.environ.get(PARALLEL_ENV))
     if config is not None and config.parallel is not None:
         parallel = config.parallel
     scale = config.scale if config is not None else env_scale(default_scale)
-    kernel = parse_kernel_env(os.environ.get(KERNEL_ENV))
-    if config is not None and config.kernel is not None:
-        kernel = parse_kernel_env(config.kernel)
-    model = parse_model_env(os.environ.get(MODEL_ENV))
-    if config is not None and config.model is not None:
-        model = parse_model_env(config.model)
-    return EnvGates(fastpath=fastpath_enabled(), parallel=parallel,
-                    parallel_workers=workers, scale=scale,
-                    kernel=kernel, model=model)
+    backend = parse_backend_env(os.environ.get(BACKEND_ENV)) or REFERENCE
+    return EnvGates(parallel=parallel, parallel_workers=workers,
+                    scale=scale, backend=backend)
 
 
 @dataclass(frozen=True)
@@ -151,7 +132,6 @@ class ExperimentConfig:
 
     # client population (×n_mds, ×scale)
     clients_per_mds: int = 24
-    think_time_s: float = 0.006  # keeps the cluster near saturation (§5.3)
 
     # per-MDS cache sizing: exactly one mechanism applies.
     #   cache_fraction — slots = fraction × total metadata (Fig. 4 axis);
@@ -164,14 +144,10 @@ class ExperimentConfig:
     warmup_s: float = 2.0
     duration_s: float = 4.0
 
-    # workload: a typed spec (ClosedLoopSpec / OpenLoopSpec), or — legacy,
-    # deprecated — a kind string combined with the flat knobs below
-    # (think_time_s / workload_args / op_weights), which maps onto an
-    # equivalent ClosedLoopSpec via the warn-once shim in
-    # repro.experiments.workload.
-    workload: Union[str, WorkloadSpec] = "general"
-    workload_args: Dict[str, float] = field(default_factory=dict)
-    op_weights: Optional[Dict[OpType, float]] = None
+    # workload: a typed spec (repro.experiments.workload); the default is
+    # the general-purpose closed loop whose 6 ms think time keeps the
+    # cluster near saturation (§5.3)
+    workload: WorkloadSpec = field(default_factory=ClosedLoopSpec)
 
     # adaptive proxy tier in front of the cluster (None = clients talk to
     # the MDS nodes directly, exactly the pre-proxy wiring)
@@ -193,18 +169,11 @@ class ExperimentConfig:
     # serial and parallel runs are bit-identical by contract.
     parallel: Optional[bool] = None
 
-    # event-kernel backend (repro.sim.backend): None defers to the
-    # REPRO_KERNEL env gate; "reference" pins the pure-python kernel,
-    # "compiled"/"auto" prefer the C extension.  Never affects results —
-    # the compiled kernel is bit-identical to the reference by contract
-    # (and falls back to it when the extension is unavailable).
-    kernel: Optional[str] = None
-
-    # model backend (repro.model.backend): None defers to the REPRO_MODEL
-    # env gate; "reference" pins the pure-python cache/memo/popularity
-    # structures, "compiled"/"auto" prefer the C extension.  Same
-    # bit-identity and silent-fallback contract as ``kernel``.
-    model: Optional[str] = None
+    def __post_init__(self) -> None:
+        if not isinstance(self.workload, (ClosedLoopSpec, OpenLoopSpec)):
+            raise TypeError(
+                "ExperimentConfig.workload must be a ClosedLoopSpec or "
+                f"OpenLoopSpec, got {type(self.workload).__name__}")
 
     # -- derived ------------------------------------------------------------
     @property
@@ -226,19 +195,6 @@ class ExperimentConfig:
     @property
     def measure_window(self) -> "tuple[float, float]":
         return (self.warmup_s, self.run_until_s)
-
-    def workload_spec(self) -> WorkloadSpec:
-        """The workload as a validated typed spec.
-
-        Folds the legacy flat-knob form (string ``workload`` plus
-        ``think_time_s``/``workload_args``/``op_weights``) into the
-        equivalent :class:`~repro.experiments.workload.ClosedLoopSpec`,
-        warning once per process; typed specs validate and pass through.
-        """
-        return normalize_workload(self.workload,
-                                  think_time_s=self.think_time_s,
-                                  workload_args=self.workload_args,
-                                  op_weights=self.op_weights)
 
     def replace(self, **kw) -> "ExperimentConfig":
         return dataclasses.replace(self, **kw)

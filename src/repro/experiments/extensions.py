@@ -22,6 +22,7 @@ from ..partition import strategy_names
 from ._build import build_simulation
 from .config import ExperimentConfig
 from .figures import FigureResult
+from .workload import ClosedLoopSpec
 
 
 def scientific_config(strategy: str, scale: float = 0.5,
@@ -32,11 +33,11 @@ def scientific_config(strategy: str, scale: float = 0.5,
         n_mds=6,
         seed=seed,
         scale=scale,
-        workload="scientific",
+        workload=ClosedLoopSpec(kind="scientific", think_time_s=0.002,
+                                args={"phase_len_s": 1.0}),
         users_per_mds=6,
         files_per_user=40,
         clients_per_mds=60,
-        think_time_s=0.002,
         cache_capacity_per_mds=500,
         warmup_s=0.0,
         duration_s=8.0,
@@ -44,7 +45,6 @@ def scientific_config(strategy: str, scale: float = 0.5,
             replicate_threshold=120.0,
             popularity_halflife_s=0.5,
         ),
-        workload_args={"phase_len_s": 1.0},
     )
     base.update(overrides)
     return ExperimentConfig(**base)

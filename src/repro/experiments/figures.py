@@ -23,6 +23,7 @@ from ..partition import strategy_names
 from .config import ExperimentConfig
 from .runner import (SteadyStateResult, TimelineResult, run_steady_state,
                      run_timeline)
+from .workload import ClosedLoopSpec
 
 #: cluster sizes swept by the scaling experiments, by scale regime
 SIZES_SMALL = [4, 6, 8]
@@ -117,16 +118,15 @@ def scaling_config(strategy: str, n_mds: int, scale: float,
         n_mds=n_mds,
         seed=seed,
         scale=scale,
-        workload="scaling",
+        workload=ClosedLoopSpec(kind="scaling", think_time_s=0.002,
+                                args={"move_dir_prob": 0.3}),
         users_per_mds=10,
         files_per_user=55,
         clients_per_mds=40,
-        think_time_s=0.002,
         cache_capacity_per_mds=250,
         warmup_s=1.5,
         duration_s=4.0,
         params=SimParams(osds_per_mds=1),
-        workload_args={"move_dir_prob": 0.3},
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -307,16 +307,16 @@ def shift_config(strategy: str, scale: float, seed: int = 42,
         n_mds=6,
         seed=seed,
         scale=scale,
-        workload="shifting",
+        workload=ClosedLoopSpec(kind="shifting", think_time_s=0.01,
+                                args={"shift_time_s": shift_time,
+                                      "migrate_fraction": 0.5}),
         users_per_mds=10,
         files_per_user=55,
         clients_per_mds=40,
-        think_time_s=0.01,
         cache_capacity_per_mds=800,
         warmup_s=0.0,
         duration_s=26.0,
         params=SimParams(osds_per_mds=2),
-        workload_args={"shift_time_s": shift_time, "migrate_fraction": 0.5},
     )
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -355,7 +355,7 @@ def fig5(scale: float = 0.5,
         rows.append([round(t, 1), round(dmin, 1), round(davg, 1),
                      round(dmax, 1), round(smin, 1), round(savg, 1),
                      round(smax, 1)])
-    shift_t = results["DynamicSubtree"].config.workload_args["shift_time_s"]
+    shift_t = results["DynamicSubtree"].config.workload.args["shift_time_s"]
     return FigureResult(
         figure="Figure 5",
         title="Range and average MDS throughput under a workload shift "
@@ -404,11 +404,13 @@ def flash_config(traffic_control: bool, scale: float,
         n_mds=6,
         seed=seed,
         scale=scale,
-        workload="flash",
+        workload=ClosedLoopSpec(kind="flash", think_time_s=0.01,
+                                args={"start_s": 0.3,
+                                      "arrival_jitter_s": 0.15,
+                                      "requests_per_client": 1}),
         users_per_mds=6,
         files_per_user=30,
         clients_per_mds=300,     # ×6 MDS ×scale -> ~1000-2000 clients
-        think_time_s=0.01,
         cache_capacity_per_mds=400,
         warmup_s=0.0,
         duration_s=3.0,
@@ -419,8 +421,6 @@ def flash_config(traffic_control: bool, scale: float,
             popularity_halflife_s=0.5,
             balance_interval_s=1e9,  # isolate traffic control from balancing
         ),
-        workload_args={"start_s": 0.3, "arrival_jitter_s": 0.15,
-                       "requests_per_client": 1},
     )
     base.update(overrides)
     return ExperimentConfig(**base)

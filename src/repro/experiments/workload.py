@@ -1,10 +1,6 @@
 """Typed workload specifications: the ``ExperimentConfig.workload`` API.
 
-Historically a workload was described by flat knobs scattered over the
-config — ``workload`` (a kind string), ``think_time_s``, ``workload_args``,
-``op_weights``.  That shape cannot express an *open-loop* generator (arrival
-process, offered rate, burst shape), so the config now carries one typed
-spec instead:
+The config carries exactly one typed spec:
 
 * :class:`ClosedLoopSpec` — today's clients: one outstanding request per
   client, exponential think times between requests.  Throughput emerges
@@ -14,24 +10,45 @@ spec instead:
   on/off), the load shape of "millions of users" that can push the cluster
   past saturation.
 
-The legacy flat knobs keep working: a plain string ``workload`` is mapped
-onto an equivalent :class:`ClosedLoopSpec` by :func:`normalize_workload`
-(bit-identical behaviour, one :class:`DeprecationWarning` per process).
+Both validate their ``args`` against :data:`WORKLOAD_ARGS`: a key that no
+generator reads is an error, not a silent no-op.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Union
+from typing import Dict, Mapping, Optional, Tuple, Union
 
 from ..mds.messages import OpType
 
+_GENERAL_ARGS = ("move_dir_prob", "shared_tree_prob", "dir_chmod_fraction",
+                 "mkdir_fraction")
+
+#: the ``args`` keys each workload kind's generator reads, by kind
+WORKLOAD_ARGS: Dict[str, Tuple[str, ...]] = {
+    "general": _GENERAL_ARGS,
+    "scaling": _GENERAL_ARGS,
+    "shifting": ("victim_node", "shift_time_s", "migrate_fraction"),
+    "scientific": ("phase_len_s",),
+    "flash": ("start_s", "arrival_jitter_s", "requests_per_client",
+              "repeat_think_s"),
+}
+
 #: workload kinds understood by the simulation builder
-WORKLOAD_KINDS = ("general", "scaling", "shifting", "scientific", "flash")
+WORKLOAD_KINDS = tuple(WORKLOAD_ARGS)
 
 #: arrival processes an :class:`OpenLoopSpec` can request
 ARRIVAL_PROCESSES = ("poisson", "bursty")
+
+
+def _validate_kind_and_args(kind: str, args: Mapping[str, float]) -> None:
+    if kind not in WORKLOAD_KINDS:
+        raise ValueError(f"unknown workload kind {kind!r}; "
+                         f"expected one of {WORKLOAD_KINDS}")
+    unknown = sorted(set(args) - set(WORKLOAD_ARGS[kind]))
+    if unknown:
+        raise ValueError(f"unknown args {unknown} for workload kind "
+                         f"{kind!r}; accepted keys: {WORKLOAD_ARGS[kind]}")
 
 
 @dataclass(frozen=True)
@@ -50,9 +67,7 @@ class ClosedLoopSpec:
     op_weights: Optional[Dict[OpType, float]] = None
 
     def validate(self) -> "ClosedLoopSpec":
-        if self.kind not in WORKLOAD_KINDS:
-            raise ValueError(f"unknown workload kind {self.kind!r}; "
-                             f"expected one of {WORKLOAD_KINDS}")
+        _validate_kind_and_args(self.kind, self.args)
         if self.think_time_s <= 0:
             raise ValueError("think_time_s must be positive")
         return self
@@ -104,9 +119,7 @@ class OpenLoopSpec:
     op_weights: Optional[Dict[OpType, float]] = None
 
     def validate(self) -> "OpenLoopSpec":
-        if self.kind not in WORKLOAD_KINDS:
-            raise ValueError(f"unknown workload kind {self.kind!r}; "
-                             f"expected one of {WORKLOAD_KINDS}")
+        _validate_kind_and_args(self.kind, self.args)
         if self.arrival not in ARRIVAL_PROCESSES:
             raise ValueError(f"unknown arrival process {self.arrival!r}; "
                              f"expected one of {ARRIVAL_PROCESSES}")
@@ -154,44 +167,11 @@ class OpenLoopSpec:
 
 WorkloadSpec = Union[ClosedLoopSpec, OpenLoopSpec]
 
-_legacy_warned = False
-
-
-def normalize_workload(workload: Union[str, WorkloadSpec], *,
-                       think_time_s: float,
-                       workload_args: Dict[str, float],
-                       op_weights: Optional[Dict[OpType, float]],
-                       ) -> WorkloadSpec:
-    """Map a config's ``workload`` field to a validated spec.
-
-    A string is the legacy flat-knob form: it is folded together with the
-    legacy companion knobs into the equivalent :class:`ClosedLoopSpec`
-    (bit-identical behaviour) and a :class:`DeprecationWarning` is emitted
-    once per process.  Typed specs pass through validation unchanged.
-    """
-    if isinstance(workload, (ClosedLoopSpec, OpenLoopSpec)):
-        return workload.validate()
-    if isinstance(workload, str):
-        global _legacy_warned
-        if not _legacy_warned:
-            _legacy_warned = True
-            warnings.warn(
-                "string ExperimentConfig.workload with flat knobs "
-                "(think_time_s/workload_args/op_weights) is deprecated; "
-                "pass a ClosedLoopSpec or OpenLoopSpec instead",
-                DeprecationWarning, stacklevel=3)
-        return ClosedLoopSpec(kind=workload, think_time_s=think_time_s,
-                              args=dict(workload_args),
-                              op_weights=op_weights).validate()
-    raise TypeError(f"workload must be a str, ClosedLoopSpec or "
-                    f"OpenLoopSpec, got {type(workload).__name__}")
-
-
 __all__ = [
     "ARRIVAL_PROCESSES",
     "ClosedLoopSpec",
     "OpenLoopSpec",
+    "WORKLOAD_ARGS",
     "WORKLOAD_KINDS",
     "WorkloadSpec",
-    "normalize_workload",
 ]

@@ -1,7 +1,6 @@
 """Metrics collection, analysis, and reporting (S12 in DESIGN.md)."""
 
-from .analysis import (Summary, moving_average, percentile, relative_change,
-                       summarize, trim_warmup)
+from .analysis import Summary, percentile, summarize
 from .counters import DeltaTracker
 from .histogram import EMPTY_SUMMARY, LatencyHistogram, LatencySummary
 from .report import format_series, format_table
@@ -17,9 +16,6 @@ __all__ = [
     "TimeSeries",
     "format_series",
     "format_table",
-    "moving_average",
     "percentile",
-    "relative_change",
     "summarize",
-    "trim_warmup",
 ]

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -58,33 +58,3 @@ def summarize(values: Sequence[float]) -> Summary:
         p50=percentile(values, 50), p95=percentile(values, 95),
         p99=percentile(values, 99),
         minimum=min(values), maximum=max(values))
-
-
-def trim_warmup(points: Sequence[Tuple[float, float]],
-                warmup_s: float) -> List[Tuple[float, float]]:
-    """Drop series samples from the warmup window."""
-    return [(t, v) for t, v in points if t >= warmup_s]
-
-
-def moving_average(points: Sequence[Tuple[float, float]],
-                   window: int = 3) -> List[Tuple[float, float]]:
-    """Centered moving average over a (t, v) series."""
-    if window < 1:
-        raise ValueError("window must be >= 1")
-    if window == 1:
-        return list(points)
-    out: List[Tuple[float, float]] = []
-    half = window // 2
-    values = [v for _t, v in points]
-    for i, (t, _v) in enumerate(points):
-        lo = max(0, i - half)
-        hi = min(len(values), i + half + 1)
-        out.append((t, sum(values[lo:hi]) / (hi - lo)))
-    return out
-
-
-def relative_change(baseline: float, measured: float) -> float:
-    """(measured - baseline) / baseline; 0 baseline with 0 measured is 0."""
-    if baseline == 0:
-        return 0.0 if measured == 0 else math.inf
-    return (measured - baseline) / baseline

@@ -1,13 +1,13 @@
 """Model-backend seam: reference (pure python) vs compiled C hot spots.
 
-See :mod:`repro.model.backend` for the ``REPRO_MODEL`` gate and the
-factories the cache/namespace/mds call sites construct through, and
-``src/repro/model/_cmodel.c`` for the compiled implementations.
+See :mod:`repro.model.backend` for the model half of the
+``REPRO_BACKEND`` gate and the factories the cache/namespace/mds call
+sites construct through, and ``src/repro/model/_cmodel.c`` for the
+compiled implementations.
 """
 
 from .backend import (
     COMPILED,
-    MODEL_ENV,
     REFERENCE,
     compiled_model_unavailable_reason,
     compiled_model_viable,
@@ -16,14 +16,12 @@ from .backend import (
     make_popularity_map,
     make_resolution_memo,
     model_info,
-    parse_model_env,
     resolve_model,
     set_model_gate,
 )
 
 __all__ = [
     "COMPILED",
-    "MODEL_ENV",
     "REFERENCE",
     "compiled_model_unavailable_reason",
     "compiled_model_viable",
@@ -32,7 +30,6 @@ __all__ = [
     "make_popularity_map",
     "make_resolution_memo",
     "model_info",
-    "parse_model_env",
     "resolve_model",
     "set_model_gate",
 ]

@@ -8,25 +8,27 @@ popularity decay counters.  The pure-python implementations in
 are preserved byte-for-byte as the ``reference`` backend; the hand-written
 C extension ``repro.model._cmodel`` is the ``compiled`` backend.
 
-Selection mirrors ``REPRO_KERNEL`` exactly:
+Selection is the one ``REPRO_BACKEND`` gate of :mod:`repro.sim.backend`,
+shared with the kernel:
 
-* ``REPRO_MODEL=reference`` — always the pure-python structures.
-* ``REPRO_MODEL=compiled``  — the C structures; **silently falls back**
-  to reference when the extension is not built (same contract as the
-  kernel gate: an unbuilt optional extension must never break a run).
-* ``REPRO_MODEL=auto``      — compiled when available, else reference.
+* ``REPRO_BACKEND=reference`` (the default) — the pure-python structures.
+* ``REPRO_BACKEND=compiled``  — the C structures; **silently falls back**
+  to reference when the extension is not built (an unbuilt optional
+  extension must never break a run).
 
 Anything else raises ``ValueError`` (strict parsing, like every other
-gate).  ``ExperimentConfig.model`` takes precedence over the environment
-variable via :func:`repro.experiments.config.env_gates`.
+gate).  An explicit gate — the argument of :func:`resolve_model` or
+:func:`set_model_gate`, or a factory's ``model=`` — selects the model
+half alone, for tests and diagnostics.
 
 Both backends are *behaviour-identical*: every counter, exception type,
 exception message and float expression matches, so fixed-seed summaries
 are bit-identical across backends (enforced by ``tests/model/``).
 
-This module must not import any other ``repro`` module at import time —
-it is imported by config/cache/namespace/mds call sites and must stay
-cycle-free; the factory helpers lazy-import the reference classes.
+At import time this module imports only :mod:`repro.sim.backend` (which
+imports no other ``repro`` package) — it is imported by config/cache/
+namespace/mds call sites and must stay cycle-free; the factory helpers
+lazy-import the reference classes.
 """
 
 from __future__ import annotations
@@ -34,11 +36,7 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Optional
 
-MODEL_ENV = "REPRO_MODEL"
-
-REFERENCE = "reference"
-COMPILED = "compiled"
-_MODEL_TOKENS = frozenset({REFERENCE, COMPILED, "auto"})
+from ..sim.backend import BACKEND_ENV, COMPILED, REFERENCE, parse_backend_env
 
 try:  # pragma: no cover - exercised only when the extension is built
     from . import _cmodel as _C
@@ -69,23 +67,6 @@ def compiled_model_unavailable_reason() -> Optional[str]:
     return _CMODEL_ERROR or "repro.model._cmodel not built"
 
 
-def parse_model_env(raw: Optional[str]) -> Optional[str]:
-    """Validate a ``REPRO_MODEL`` value; ``None``/empty mean "unset".
-
-    Raises ``ValueError`` on unknown tokens — misspelling a backend name
-    must not silently select the default.
-    """
-    if raw is None:
-        return None
-    token = raw.strip().lower()
-    if not token:
-        return None
-    if token not in _MODEL_TOKENS:
-        raise ValueError(
-            f"{MODEL_ENV}={raw!r} is not one of {sorted(_MODEL_TOKENS)}")
-    return token
-
-
 def set_model_gate(gate: Optional[str]) -> Optional[str]:
     """Record the resolved gate for this process; returns the previous one.
 
@@ -94,7 +75,7 @@ def set_model_gate(gate: Optional[str]) -> Optional[str]:
     """
     global _GATE_OVERRIDE
     previous = _GATE_OVERRIDE
-    _GATE_OVERRIDE = parse_model_env(gate)
+    _GATE_OVERRIDE = parse_backend_env(gate)
     return previous
 
 
@@ -102,20 +83,15 @@ def resolve_model(gate: Optional[str] = None) -> str:
     """The backend a construction with ``gate`` would use.
 
     Precedence: explicit ``gate`` argument > the process gate recorded by
-    ``set_model_gate`` > the ``REPRO_MODEL`` environment variable >
-    ``reference``.  ``compiled``/``auto`` fall back silently to
-    ``reference`` when the extension is not built.
+    ``set_model_gate`` > the ``REPRO_BACKEND`` environment variable >
+    ``reference``.  ``compiled`` falls back silently to ``reference`` when
+    the extension is not built.
     """
-    token = parse_model_env(gate)
-    if token is None:
-        token = _GATE_OVERRIDE
-    if token is None:
-        token = parse_model_env(os.environ.get(MODEL_ENV))
-    if token is None:
-        token = REFERENCE
-    if token == REFERENCE:
-        return REFERENCE
-    return COMPILED if _C is not None else REFERENCE
+    token = (parse_backend_env(gate) or _GATE_OVERRIDE
+             or parse_backend_env(os.environ.get(BACKEND_ENV)))
+    if token == COMPILED and _C is not None:
+        return COMPILED
+    return REFERENCE
 
 
 def model_info(backend: Optional[str] = None) -> dict:
@@ -184,12 +160,10 @@ def make_authority_memo(ns: Any, compute: Callable[[int], int], *,
 
 
 __all__ = [
-    "MODEL_ENV",
     "REFERENCE",
     "COMPILED",
     "compiled_model_viable",
     "compiled_model_unavailable_reason",
-    "parse_model_env",
     "set_model_gate",
     "resolve_model",
     "model_info",

@@ -242,7 +242,7 @@ class Namespace:
         """Attach (or return the existing) path-resolution memo.
 
         Constructed through the model-backend factory, so under
-        ``REPRO_MODEL=compiled`` this is the C implementation (identical
+        ``REPRO_BACKEND=compiled`` this is the C implementation (identical
         behaviour, identical counters).
         """
         if self._memo is None:

@@ -52,7 +52,7 @@ class Strategy(abc.ABC):
         #: request-path fast lane: ino -> MDS memo, valid only while both
         #: the namespace ``structure_epoch`` and the strategy's own partition
         #: state are unchanged.  ``None`` when the fast lane is disabled; a
-        #: compiled AuthorityMemo when REPRO_MODEL selects the C backend.
+        #: compiled AuthorityMemo when REPRO_BACKEND selects the C backend.
         self._auth_cache: Optional[Dict[int, int]] = None
         self._auth_epoch = -1
         #: monotonic generation counter bumped on every partition-state
@@ -67,7 +67,7 @@ class Strategy(abc.ABC):
         self._auth_cache = None
         self._auth_epoch = -1
         if fastpath_enabled():
-            # Under REPRO_MODEL=compiled the memo is the C AuthorityMemo
+            # Under REPRO_BACKEND=compiled the memo is the C AuthorityMemo
             # and its lookup shadows the python method entirely (same
             # epoch-check-then-dict semantics, no interpreter dispatch);
             # on the reference path the memo is the inline dict below.

@@ -10,13 +10,13 @@ A small, deterministic, dependency-free simpy-like kernel:
 
 The calendar itself is swappable (:mod:`repro.sim.backend`): the
 pure-python reference kernel above, or a bit-identical compiled C kernel
-selected by the ``REPRO_KERNEL`` gate — :func:`make_environment` is the
+selected by the ``REPRO_BACKEND`` gate — :func:`make_environment` is the
 backend-aware constructor.
 """
 
-from .backend import (CompiledEnvironment, EVENT_TYPES, KERNEL_ENV,
+from .backend import (BACKEND_ENV, CompiledEnvironment, EVENT_TYPES,
                       backend_of, compiled_viable, kernel_info,
-                      make_environment, parse_kernel_env, resolve_kernel)
+                      make_environment, parse_backend_env, resolve_kernel)
 from .engine import Environment, Event, Timeout, NORMAL, URGENT
 from .errors import EventAlreadyTriggered, ProcessCrashed, SimulationError
 from .process import Interrupt, Process
@@ -24,13 +24,13 @@ from .resources import Request, Resource, Store
 from .rng import RngStreams, derive_seed
 
 __all__ = [
+    "BACKEND_ENV",
     "CompiledEnvironment",
     "EVENT_TYPES",
     "Environment",
     "Event",
     "EventAlreadyTriggered",
     "Interrupt",
-    "KERNEL_ENV",
     "NORMAL",
     "Process",
     "ProcessCrashed",
@@ -46,6 +46,6 @@ __all__ = [
     "derive_seed",
     "kernel_info",
     "make_environment",
-    "parse_kernel_env",
+    "parse_backend_env",
     "resolve_kernel",
 ]

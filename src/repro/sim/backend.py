@@ -12,16 +12,16 @@ implementations exist:
   :class:`CompiledEnvironment` so every pure-python consumer (processes,
   resources) sees the exact :class:`Environment` surface.
 
-Selection follows the repo's gate discipline (config field > env var >
-default, see :func:`repro.experiments.config.env_gates`): the
-``REPRO_KERNEL`` environment variable or ``ExperimentConfig.kernel``
-accepts ``reference`` (the default), ``compiled``, or ``auto``.  Both
-``compiled`` and ``auto`` degrade *silently* to the reference kernel when
-the extension is missing or fails to import (no C toolchain, unbuilt
-checkout) — mirroring the ``parallel_viable`` pattern — and every
-``Simulation.summary().kernel`` and bench report records
-``kernel_backend`` / ``compiled_viable`` so a silent fallback is still
-visible in the artifacts.
+Selection: the ``REPRO_BACKEND`` environment variable (one gate for
+this kernel and the model structures of :mod:`repro.model.backend`)
+accepts ``reference`` (the default) or ``compiled``.  ``compiled``
+degrades *silently* to the reference kernel when the extension is
+missing or fails to import (no C toolchain, unbuilt checkout) —
+mirroring the ``parallel_viable`` pattern — and every
+``Simulation.summary().kernel`` records ``kernel_backend`` /
+``compiled_viable`` so a silent fallback is still visible in the
+artifacts.  :func:`make_environment` takes an explicit ``kernel=`` gate,
+which is how tests and diagnostics select the kernel half alone.
 
 Bit identity
 ------------
@@ -41,15 +41,15 @@ from typing import Any, Optional
 from .engine import Environment, Event, _INF
 from .errors import EventAlreadyTriggered, StopSimulation
 
-#: Kernel backend switch: unset/"reference" runs the pure-python kernel,
-#: "compiled" prefers the C extension (silent fallback when unbuilt),
-#: "auto" is an alias for "compiled".
-KERNEL_ENV = "REPRO_KERNEL"
+#: Backend switch for both C extensions (kernel and model): unset or
+#: "reference" runs the pure-python implementations, "compiled" prefers
+#: the C extensions (silent fallback when unbuilt).
+BACKEND_ENV = "REPRO_BACKEND"
 
 REFERENCE = "reference"
 COMPILED = "compiled"
 
-_KERNEL_TOKENS = frozenset({REFERENCE, COMPILED, "auto"})
+_BACKEND_TOKENS = frozenset({REFERENCE, COMPILED})
 
 try:
     from . import _ckernel as _C
@@ -77,8 +77,8 @@ def compiled_unavailable_reason() -> Optional[str]:
     return _CKERNEL_ERROR
 
 
-def parse_kernel_env(raw: Optional[str]) -> Optional[str]:
-    """Interpret a ``REPRO_KERNEL`` value.
+def parse_backend_env(raw: Optional[str]) -> Optional[str]:
+    """Interpret a ``REPRO_BACKEND`` value (or an explicit gate argument).
 
     Returns ``None`` when unset/empty (default: reference), else one of
     the mode tokens.  Raises on anything else, like the other gates.
@@ -88,26 +88,25 @@ def parse_kernel_env(raw: Optional[str]) -> Optional[str]:
     token = raw.strip().lower()
     if not token:
         return None
-    if token not in _KERNEL_TOKENS:
+    if token not in _BACKEND_TOKENS:
         raise ValueError(
-            f"{KERNEL_ENV}={raw!r} is not one of "
-            f"{sorted(_KERNEL_TOKENS)}")
+            f"{BACKEND_ENV}={raw!r} is not one of "
+            f"{sorted(_BACKEND_TOKENS)}")
     return token
 
 
 def resolve_kernel(gate: Optional[str] = None) -> str:
-    """The effective backend name for a gate value.
+    """The effective kernel backend for a gate value.
 
-    ``gate`` is a resolved gate token (``None``, ``"reference"``,
-    ``"compiled"`` or ``"auto"``); ``None`` reads ``REPRO_KERNEL``.
-    ``compiled``/``auto`` fall back silently to ``reference`` when the
-    extension is unavailable.
+    ``gate`` is ``"reference"``, ``"compiled"`` or ``None``; ``None``
+    reads ``REPRO_BACKEND``.  ``compiled`` falls back silently to
+    ``reference`` when the extension is unavailable.
     """
-    if gate is None:
-        gate = parse_kernel_env(os.environ.get(KERNEL_ENV))
-    if gate in (None, REFERENCE):
-        return REFERENCE
-    return COMPILED if compiled_viable() else REFERENCE
+    token = (parse_backend_env(gate)
+             or parse_backend_env(os.environ.get(BACKEND_ENV)))
+    if token == COMPILED and compiled_viable():
+        return COMPILED
+    return REFERENCE
 
 
 def make_environment(initial_time: float = 0.0, *,
@@ -115,8 +114,8 @@ def make_environment(initial_time: float = 0.0, *,
                      kernel: Optional[str] = None) -> Environment:
     """Construct an :class:`Environment` on the selected kernel backend.
 
-    ``kernel`` is a gate value (:func:`parse_kernel_env` semantics);
-    ``None`` defers to ``REPRO_KERNEL``.  The reference backend returns a
+    ``kernel`` is a gate value (:func:`parse_backend_env` semantics);
+    ``None`` defers to ``REPRO_BACKEND``.  The reference backend returns a
     plain :class:`Environment`; the compiled backend returns a
     :class:`CompiledEnvironment` exposing the identical surface.
     """
@@ -160,7 +159,8 @@ class CompiledEnvironment(Environment):
             raise RuntimeError(
                 "compiled kernel backend unavailable "
                 f"({_CKERNEL_ERROR}); build it with "
-                "`python tools/build_kernel.py` or use REPRO_KERNEL=reference")
+                "`python tools/build_kernel.py` or use "
+                "REPRO_BACKEND=reference")
         if fastlane is None:
             from .._fastpath import fastpath_enabled
 
@@ -257,13 +257,13 @@ __all__ = [
     "CTimeout",
     "CompiledEnvironment",
     "EVENT_TYPES",
-    "KERNEL_ENV",
+    "BACKEND_ENV",
     "REFERENCE",
     "backend_of",
     "compiled_unavailable_reason",
     "compiled_viable",
     "kernel_info",
     "make_environment",
-    "parse_kernel_env",
+    "parse_backend_env",
     "resolve_kernel",
 ]

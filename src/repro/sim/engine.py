@@ -22,7 +22,7 @@ the event-order golden tests in ``tests/sim/test_engine_hotpath.py``.
 
 Settled-event fast lane
 -----------------------
-When the fast lane is on (``REPRO_FASTPATH``, read once per environment),
+When the fast lane is on (:mod:`repro._fastpath`, read once per environment),
 producers whose outcome is known synchronously — an uncontended
 ``Resource.request()``, a ``Store.get()`` with an item buffered — return an
 *inline-settled* event: triggered, value frozen, due now, but never pushed
@@ -206,9 +206,10 @@ class Environment:
     """Execution environment: the event calendar and simulation clock.
 
     ``fastlane`` controls the settled-event fast lane and freelist pooling;
-    ``None`` (the default) reads ``REPRO_FASTPATH`` once at construction.
+    ``None`` (the default) reads :func:`repro._fastpath.fastpath_enabled`
+    once at construction.
     With the lane off the kernel is exactly the reference heap
-    implementation — CI's golden-equivalence runs rely on that.
+    implementation — the golden-equivalence tests rely on that.
     """
 
     __slots__ = ("_now", "_queue", "_seq", "_fastlane", "_event_pool",

@@ -1,14 +1,13 @@
-"""The bench tool's baseline/trajectory bookkeeping (no timing involved).
+"""The bench tools' baseline/trajectory bookkeeping (no timing involved).
 
-``tools/bench_request_path.py`` compares each run against the previously
+``tools/bench_overload.py`` compares each run against the previously
 *committed* report instead of a constant frozen in the source, and keeps a
-``trajectory`` of recorded rates across PRs.  These tests pin the pure
-helpers that implement that: prior-report loading, baseline extraction
-(with the pre-fast-lane fallback), and trajectory carry-forward.
+``trajectory`` of recorded values across changes.  These tests pin the
+pure helpers that implement that: prior-report loading, baseline
+extraction (with its fallback), and trajectory carry-forward.
 """
 
 import importlib.util
-import json
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
@@ -16,7 +15,7 @@ REPO = Path(__file__).resolve().parents[2]
 
 def _load_bench():
     spec = importlib.util.spec_from_file_location(
-        "bench_request_path", REPO / "tools" / "bench_request_path.py")
+        "bench_overload", REPO / "tools" / "bench_overload.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -33,38 +32,11 @@ def test_missing_or_garbage_prior_report(tmp_path):
 def test_baseline_falls_back_without_prior():
     bench = _load_bench()
     assert bench.baseline_from_prior(None) == \
-        bench.FALLBACK_BASELINE_SIM_OPS_PER_WALL_S
+        bench.FALLBACK_BASELINE_GOODPUT_OPS_S
     assert bench.baseline_from_prior({}) == \
-        bench.FALLBACK_BASELINE_SIM_OPS_PER_WALL_S
-    assert bench.baseline_from_prior({"fastpath_on": {}}) == \
-        bench.FALLBACK_BASELINE_SIM_OPS_PER_WALL_S
-
-
-def test_baseline_reads_prior_fastpath_on_rate():
-    bench = _load_bench()
-    prior = {"fastpath_on": {"sim_ops_per_wall_s": 21990.6}}
-    assert bench.baseline_from_prior(prior) == 21990.6
-
-
-def test_trajectory_seeded_from_pre_trajectory_report():
-    """A report written before trajectory support contributes its own
-    headline numbers as the first entry."""
-    bench = _load_bench()
-    prior = {
-        "timestamp": "2026-08-06T07:38:01",
-        "fastpath_off": {"sim_ops_per_wall_s": 19174.5},
-        "fastpath_on": {"sim_ops_per_wall_s": 21990.6},
-        "speedup_on_vs_off": 1.147,
-        "quick": False,
-    }
-    trajectory = bench.trajectory_from_prior(prior)
-    assert trajectory == [{
-        "timestamp": "2026-08-06T07:38:01",
-        "fastpath_off_ops_per_wall_s": 19174.5,
-        "fastpath_on_ops_per_wall_s": 21990.6,
-        "speedup_on_vs_off": 1.147,
-        "quick": False,
-    }]
+        bench.FALLBACK_BASELINE_GOODPUT_OPS_S
+    assert bench.baseline_from_prior({"peak_ac_goodput_ops_per_s": 0}) == \
+        bench.FALLBACK_BASELINE_GOODPUT_OPS_S
 
 
 def test_trajectory_carries_forward_and_copies():
@@ -80,10 +52,11 @@ def test_trajectory_carries_forward_and_copies():
 
 def test_committed_report_is_a_valid_prior():
     """The report committed at the repo root must parse and provide a
-    baseline — the regression check in CI depends on it."""
+    baseline — the tool's regression warning depends on it."""
     bench = _load_bench()
-    committed = REPO / "BENCH_request_path.json"
+    committed = REPO / "BENCH_overload.json"
     prior = bench.load_prior_report(str(committed))
     assert prior is not None
-    assert bench.baseline_from_prior(prior) > 0
+    assert bench.baseline_from_prior(prior) == \
+        prior["peak_ac_goodput_ops_per_s"]
     assert bench.trajectory_from_prior(prior)  # at least one entry

@@ -4,14 +4,17 @@ import pytest
 
 from repro.clients import (FlashCrowdWorkload, GeneralWorkload,
                            ScientificWorkload, ShiftingWorkload)
-from repro.experiments import ExperimentConfig, build_simulation
+from repro.experiments import (ClosedLoopSpec, ExperimentConfig,
+                               build_simulation)
 from repro.experiments._build import (_flash_target, _make_workload,
                                       _size_cache)
 from repro.namespace import path as pathmod
 
 
-def small(workload="general", **kw):
-    return ExperimentConfig(n_mds=3, scale=0.2, workload=workload,
+def small(kind="general", args=None, **kw):
+    return ExperimentConfig(n_mds=3, scale=0.2,
+                            workload=ClosedLoopSpec(kind=kind,
+                                                    args=args or {}),
                             warmup_s=0.2, duration_s=0.5, **kw)
 
 
@@ -60,9 +63,9 @@ def test_unknown_workload_rejected():
 
 def test_make_workload_rejects_unknown_kind_directly():
     sim = build_simulation(small())
-    cfg = small().replace(workload="bogus")
+    cfg = small("bogus")
     with pytest.raises(ValueError, match="unknown workload kind 'bogus'"):
-        _make_workload(cfg, cfg.workload_spec(), sim.ns, sim.snapshot)
+        _make_workload(cfg, cfg.workload, sim.ns, sim.snapshot)
 
 
 class TestSizeCache:
@@ -124,8 +127,7 @@ class TestFlashTarget:
 
 
 def test_shifting_victims_belong_to_victim_node():
-    cfg = small("shifting", workload_args={"victim_node": 1,
-                                           "shift_time_s": 0.1})
+    cfg = small("shifting", args={"victim_node": 1, "shift_time_s": 0.1})
     sim = build_simulation(cfg)
     wl = sim.workload
     for root in wl.victim_roots:

@@ -4,11 +4,10 @@ import os
 
 import pytest
 
-from repro._fastpath import FASTPATH_ENV
 from repro.experiments import ExperimentConfig
 from repro.experiments.config import (PARALLEL_ENV, SCALE_ENV, EnvGates,
                                       env_gates, parse_parallel_env)
-from repro.sim.backend import KERNEL_ENV, parse_kernel_env, resolve_kernel
+from repro.sim.backend import BACKEND_ENV, parse_backend_env, resolve_kernel
 
 
 class TestParseParallelEnv:
@@ -36,26 +35,25 @@ class TestParseParallelEnv:
             parse_parallel_env("bogus")
 
 
-class TestParseKernelEnv:
+class TestParseBackendEnv:
     @pytest.mark.parametrize("raw", [None, "", "  "])
     def test_unset_or_blank_defers_to_default(self, raw):
-        assert parse_kernel_env(raw) is None
+        assert parse_backend_env(raw) is None
 
     @pytest.mark.parametrize("token,expected", [
         ("reference", "reference"), ("REFERENCE", "reference"),
         ("compiled", "compiled"), (" Compiled ", "compiled"),
-        ("auto", "auto"), ("AUTO", "auto"),
     ])
     def test_mode_tokens(self, token, expected):
-        assert parse_kernel_env(token) == expected
+        assert parse_backend_env(token) == expected
 
-    @pytest.mark.parametrize("token", ["bogus", "1", "fast", "c"])
+    @pytest.mark.parametrize("token", ["bogus", "1", "fast", "c", "auto"])
     def test_garbage_raises(self, token):
-        with pytest.raises(ValueError, match="REPRO_KERNEL"):
-            parse_kernel_env(token)
+        with pytest.raises(ValueError, match="REPRO_BACKEND"):
+            parse_backend_env(token)
 
     def test_resolve_defaults_to_reference(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
         assert resolve_kernel() == "reference"
         assert resolve_kernel("reference") == "reference"
 
@@ -66,16 +64,15 @@ class TestEnvGatesPrecedence:
             if name.startswith("REPRO_"):
                 monkeypatch.delenv(name)
         gates = env_gates()
-        assert gates == EnvGates(fastpath=True, parallel=None,
-                                 parallel_workers=None, scale=1.0,
-                                 kernel=None, model=None)
+        assert gates == EnvGates(parallel=None, parallel_workers=None,
+                                 scale=1.0, backend="reference")
 
     def test_env_vars_override_defaults(self, monkeypatch):
         monkeypatch.setenv(PARALLEL_ENV, "6")
         monkeypatch.setenv(SCALE_ENV, "0.4")
-        monkeypatch.setenv(FASTPATH_ENV, "0")
+        monkeypatch.setenv(BACKEND_ENV, "compiled")
         gates = env_gates()
-        assert gates.fastpath is False
+        assert gates.backend == "compiled"
         assert gates.parallel is True
         assert gates.parallel_workers == 6
         assert gates.scale == pytest.approx(0.4)
@@ -92,18 +89,13 @@ class TestEnvGatesPrecedence:
         monkeypatch.delenv(SCALE_ENV, raising=False)
         assert env_gates(default_scale=0.3).scale == pytest.approx(0.3)
 
-    def test_kernel_env_var_flows_through(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "compiled")
-        assert env_gates().kernel == "compiled"
+    def test_backend_env_var_reaches_config_gates(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV, "compiled")
+        assert env_gates(ExperimentConfig()).backend == "compiled"
 
-    def test_kernel_config_field_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "compiled")
-        cfg = ExperimentConfig(kernel="reference")
-        assert env_gates(cfg).kernel == "reference"
-
-    def test_kernel_env_var_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "turbo")
-        with pytest.raises(ValueError, match="REPRO_KERNEL"):
+    def test_backend_env_var_garbage_raises(self, monkeypatch):
+        monkeypatch.setenv(BACKEND_ENV, "turbo")
+        with pytest.raises(ValueError, match="REPRO_BACKEND"):
             env_gates()
 
 

@@ -1,23 +1,26 @@
 """The request-path fast lane must be invisible to results.
 
-``REPRO_FASTPATH=0`` (reference walks, no memo, no authority cache) and
-``REPRO_FASTPATH=1`` must produce bit-identical summaries for the same
-seed: the fast lane is pure memoisation, never a behaviour change.  The
-switch is read at wiring time, so each mode gets its own build.
+With the fast lane off (reference walks, no memo, no authority cache) and
+on, the same seed must produce bit-identical summaries: the fast lane is
+pure memoisation, never a behaviour change.  The switch
+(:data:`repro._fastpath.ENABLED`) is read at wiring time, so each mode
+gets its own build.
 
-The equivalence contract is enforced on **both** kernel backends: every
-fixed-seed comparison below is parametrized over ``REPRO_KERNEL`` so the
-compiled calendar has to reproduce the reference bit-for-bit in each
-fast-lane mode (cleanly skipped where the extension is not built).
+The equivalence contract is enforced on **both** backends: every
+fixed-seed comparison below is parametrized over ``REPRO_BACKEND`` so the
+compiled calendar (and the compiled model structures, where built) has
+to reproduce the reference bit-for-bit in each fast-lane mode (cleanly
+skipped where the kernel extension is not built).
 """
 
 import pytest
 
-from repro._fastpath import FASTPATH_ENV, fastpath_enabled
+from repro import _fastpath
+from repro._fastpath import fastpath_enabled
 from repro.api import build_simulation, scaling_config
-from repro.sim.backend import KERNEL_ENV, backend_of, compiled_viable
+from repro.sim.backend import BACKEND_ENV, backend_of, compiled_viable
 
-KERNELS = [
+BACKENDS = [
     pytest.param("reference", id="reference"),
     pytest.param("compiled", id="compiled",
                  marks=pytest.mark.skipif(
@@ -27,25 +30,24 @@ KERNELS = [
 ]
 
 
-def _summary_for(monkeypatch, fastpath: bool, kernel: str = "reference"):
-    monkeypatch.setenv(FASTPATH_ENV, "1" if fastpath else "0")
-    monkeypatch.setenv(KERNEL_ENV, kernel)
-    assert fastpath_enabled() is fastpath
+def _summary_for(monkeypatch, fastpath: bool, backend: str = "reference"):
+    monkeypatch.setattr(_fastpath, "ENABLED", fastpath)
+    monkeypatch.setenv(BACKEND_ENV, backend)
     cfg = scaling_config("DynamicSubtree", 4, 0.1, seed=42)
     sim = build_simulation(cfg)
-    assert backend_of(sim.env) == kernel
+    assert backend_of(sim.env) == backend
     sim.run_to(cfg.run_until_s)
     return sim
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_fixed_seed_summaries_identical(monkeypatch, kernel):
-    off = _summary_for(monkeypatch, False, kernel)
-    on = _summary_for(monkeypatch, True, kernel)
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_fixed_seed_summaries_identical(monkeypatch, backend):
+    off = _summary_for(monkeypatch, False, backend)
+    on = _summary_for(monkeypatch, True, backend)
     assert repr(off.summary()) == repr(on.summary())
 
 
-def test_fastpath_wiring_follows_env(monkeypatch):
+def test_fastpath_wiring_follows_switch(monkeypatch):
     off = _summary_for(monkeypatch, False)
     assert off.cluster.ns.resolution_memo is None
     on = _summary_for(monkeypatch, True)
@@ -55,27 +57,19 @@ def test_fastpath_wiring_follows_env(monkeypatch):
     memo.verify_invariants()
 
 
-@pytest.mark.parametrize("token,expected", [
-    ("0", False), ("off", False), ("FALSE", False), ("no", False),
-    ("1", True), ("on", True), ("anything", True),
-])
-def test_fastpath_env_tokens(monkeypatch, token, expected):
-    monkeypatch.setenv(FASTPATH_ENV, token)
+def test_fastpath_defaults_on(request):
+    # on unless the session runs with ``pytest --fastpath-off``
+    expected = not request.config.getoption("fastpath_off")
     assert fastpath_enabled() is expected
 
 
-def test_fastpath_defaults_on(monkeypatch):
-    monkeypatch.delenv(FASTPATH_ENV, raising=False)
-    assert fastpath_enabled() is True
-
-
-@pytest.mark.parametrize("kernel", KERNELS)
-def test_kernel_counters_prove_event_elision(monkeypatch, kernel):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_kernel_counters_prove_event_elision(monkeypatch, backend):
     """The fast lane's win is visible in the kernel counters: fewer
     calendar events for the same simulated work, with every elision
     accounted as a fast resume and the freelists actually reused."""
-    off = _summary_for(monkeypatch, False, kernel).env.kernel_stats()
-    on = _summary_for(monkeypatch, True, kernel).env.kernel_stats()
+    off = _summary_for(monkeypatch, False, backend).env.kernel_stats()
+    on = _summary_for(monkeypatch, True, backend).env.kernel_stats()
     assert off["fastlane"] is False and on["fastlane"] is True
     assert off["fast_resumes"] == 0
     assert on["fast_resumes"] > 0
@@ -101,7 +95,7 @@ def test_summary_carries_kernel_counters_outside_equivalence(monkeypatch):
                          ids=["fastpath-off", "fastpath-on"])
 def test_backends_bit_identical_per_fastpath_mode(monkeypatch, fastpath):
     """The acceptance criterion of the backend seam: for a fixed seed the
-    compiled calendar's summary repr equals the reference's, in both
+    compiled backend's summary repr equals the reference's, in both
     fast-lane modes."""
     ref = _summary_for(monkeypatch, fastpath, "reference")
     com = _summary_for(monkeypatch, fastpath, "compiled")

@@ -7,8 +7,7 @@ from repro.experiments import (ExperimentConfig, run_steady_state,
 
 
 def small(**kw):
-    base = dict(n_mds=3, scale=0.2, warmup_s=0.3, duration_s=1.0,
-                workload="general")
+    base = dict(n_mds=3, scale=0.2, warmup_s=0.3, duration_s=1.0)
     base.update(kw)
     return ExperimentConfig(**base)
 

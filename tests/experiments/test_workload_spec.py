@@ -1,57 +1,18 @@
-"""The typed WorkloadSpec API and the legacy flat-knob shim."""
-
-import warnings
+"""The typed WorkloadSpec API: the only spelling of a workload."""
 
 import pytest
 
-from repro.experiments import (ClosedLoopSpec, ExperimentConfig, OpenLoopSpec,
-                               build_simulation, normalize_workload)
-from repro.experiments import workload as workload_mod
+from repro.experiments import ClosedLoopSpec, ExperimentConfig, OpenLoopSpec
 
 
-def small(**kw):
-    return ExperimentConfig(n_mds=3, scale=0.2, warmup_s=0.2,
-                            duration_s=0.5, **kw)
+class TestConfigWorkloadField:
+    def test_default_is_the_general_closed_loop(self):
+        assert ExperimentConfig().workload == ClosedLoopSpec(
+            kind="general", think_time_s=0.006)
 
-
-def run_summary(cfg):
-    sim = build_simulation(cfg)
-    sim.run_to(cfg.run_until_s)
-    return repr(sim.summary())
-
-
-class TestLegacyShim:
-    def test_legacy_string_equivalent_to_explicit_spec(self):
-        legacy = small(workload="general", think_time_s=0.004,
-                       workload_args={"mkdir_bias": 0.2})
-        typed = small(workload=ClosedLoopSpec(
-            kind="general", think_time_s=0.004,
-            args={"mkdir_bias": 0.2}))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            assert run_summary(legacy) == run_summary(typed)
-
-    def test_legacy_string_warns_once_per_process(self, monkeypatch):
-        monkeypatch.setattr(workload_mod, "_legacy_warned", False)
-        cfg = small(workload="general")
-        with pytest.warns(DeprecationWarning,
-                          match="flat knobs .* deprecated"):
-            cfg.workload_spec()
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            cfg.workload_spec()  # second call: no warning
-
-    def test_typed_spec_never_warns(self, monkeypatch):
-        monkeypatch.setattr(workload_mod, "_legacy_warned", False)
-        cfg = small(workload=ClosedLoopSpec())
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            cfg.workload_spec()
-
-    def test_normalize_rejects_wrong_type(self):
-        with pytest.raises(TypeError, match="workload must be"):
-            normalize_workload(123, think_time_s=0.006,
-                               workload_args={}, op_weights=None)
+    def test_string_workload_rejected(self):
+        with pytest.raises(TypeError, match="ClosedLoopSpec or OpenLoopSpec"):
+            ExperimentConfig(workload="general")
 
 
 class TestSpecValidation:
@@ -62,6 +23,16 @@ class TestSpecValidation:
     def test_closed_loop_rejects_nonpositive_think_time(self):
         with pytest.raises(ValueError, match="think_time_s"):
             ClosedLoopSpec(think_time_s=0.0).validate()
+
+    def test_closed_loop_rejects_unknown_args(self):
+        with pytest.raises(ValueError, match="accepted keys: .*phase_len_s"):
+            ClosedLoopSpec(kind="scientific",
+                           args={"phase_length_s": 2.0}).validate()
+
+    def test_open_loop_rejects_unknown_args(self):
+        with pytest.raises(ValueError, match="accepted keys: .*move_dir_prob"):
+            OpenLoopSpec(rate_ops_per_s=100.0,
+                         args={"mkdir_bias": 0.2}).validate()
 
     def test_open_loop_needs_a_rate(self):
         with pytest.raises(ValueError, match="rate_ops_per_s or"):

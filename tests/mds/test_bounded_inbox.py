@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro._fastpath import FASTPATH_ENV
-from repro.experiments import ExperimentConfig, OpenLoopSpec, build_simulation
+from repro import _fastpath
+from repro.experiments import (ExperimentConfig, OpenLoopSpec,
+                               build_simulation, overload_config)
 from repro.mds import SimParams
 from repro.mds.messages import OVERLOAD_ERROR
 
@@ -68,10 +69,14 @@ def test_drop_reply_carries_overload_error():
 @pytest.mark.parametrize("fastpath", ["0", "1"])
 def test_admission_is_fastpath_invariant(fastpath, monkeypatch):
     # the drop decision reads the dispatch-time inflight counter, never
-    # the inbox deque, so both kernel modes shed the same requests
-    monkeypatch.setenv(FASTPATH_ENV, fastpath)
-    summary = run(overloaded_cfg(inbox=8)).summary()
-    monkeypatch.setenv(FASTPATH_ENV, "0" if fastpath == "1" else "1")
-    other = run(overloaded_cfg(inbox=8)).summary()
-    assert repr(summary) == repr(other)
-    assert summary.dropped_ops == other.dropped_ops
+    # the inbox deque, so both kernel modes shed the same requests; the
+    # second config adds the proxy tier in front of the bounded inboxes
+    for cfg in (overloaded_cfg(inbox=8),
+                overload_config(1.25, proxy=True, scale=0.25)):
+        monkeypatch.setattr(_fastpath, "ENABLED", fastpath == "1")
+        summary = run(cfg).summary()
+        monkeypatch.setattr(_fastpath, "ENABLED", fastpath == "0")
+        other = run(cfg).summary()
+        assert repr(summary) == repr(other)
+        assert summary.dropped_ops == other.dropped_ops
+        assert summary.proxy == other.proxy

@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from repro.metrics.analysis import (Summary, moving_average, percentile,
-                                    relative_change, summarize, trim_warmup)
+from repro.metrics.analysis import percentile, summarize
 
 
 def test_percentile_basics():
@@ -46,29 +45,3 @@ def test_summarize_empty_rejected():
     with pytest.raises(ValueError):
         summarize([])
 
-
-def test_trim_warmup():
-    pts = [(0.5, 1.0), (1.5, 2.0), (2.5, 3.0)]
-    assert trim_warmup(pts, 1.0) == [(1.5, 2.0), (2.5, 3.0)]
-    assert trim_warmup(pts, 0.0) == pts
-
-
-def test_moving_average():
-    pts = [(0, 0.0), (1, 10.0), (2, 20.0), (3, 30.0)]
-    smoothed = moving_average(pts, window=3)
-    assert smoothed[0] == (0, 5.0)
-    assert smoothed[1] == (1, 10.0)
-    assert smoothed[3] == (3, 25.0)
-    assert moving_average(pts, window=1) == pts
-
-
-def test_moving_average_validation():
-    with pytest.raises(ValueError):
-        moving_average([], window=0)
-
-
-def test_relative_change():
-    assert relative_change(100.0, 150.0) == pytest.approx(0.5)
-    assert relative_change(100.0, 50.0) == pytest.approx(-0.5)
-    assert relative_change(0.0, 0.0) == 0.0
-    assert relative_change(0.0, 5.0) == math.inf

@@ -1,4 +1,8 @@
-"""Model-backend gate: parsing, precedence, fallback, provenance."""
+"""Model half of the backend gate: precedence, fallback, provenance.
+
+Token parsing (shared with the kernel half) lives in
+``tests/experiments/test_env_gates.py``.
+"""
 
 import pytest
 
@@ -6,11 +10,11 @@ from repro.api import scaling_config
 from repro.experiments import env_gates
 from repro.experiments._build import build_simulation
 from repro.model import backend as backend_mod
-from repro.model.backend import (MODEL_ENV, compiled_model_unavailable_reason,
+from repro.model.backend import (compiled_model_unavailable_reason,
                                  compiled_model_viable, make_metadata_cache,
                                  make_popularity_map, make_resolution_memo,
-                                 model_info, parse_model_env, resolve_model,
-                                 set_model_gate)
+                                 model_info, resolve_model, set_model_gate)
+from repro.sim.backend import BACKEND_ENV
 
 needs_cmodel = pytest.mark.skipif(
     not compiled_model_viable(),
@@ -21,33 +25,15 @@ needs_cmodel = pytest.mark.skipif(
 @pytest.fixture(autouse=True)
 def clean_gate(monkeypatch):
     """Every test starts from an unset env var and an unset process gate."""
-    monkeypatch.delenv(MODEL_ENV, raising=False)
+    monkeypatch.delenv(BACKEND_ENV, raising=False)
     previous = set_model_gate(None)
     yield
     set_model_gate(previous)
 
 
-# ----------------------------------------------------------------------
-# strict parsing
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("raw,expected", [
-    (None, None), ("", None), ("   ", None),
-    ("reference", "reference"), ("COMPILED", "compiled"),
-    (" auto ", "auto"),
-])
-def test_parse_model_env_accepts_known_tokens(raw, expected):
-    assert parse_model_env(raw) == expected
-
-
-@pytest.mark.parametrize("raw", ["fast", "c", "python", "1", "yes"])
-def test_parse_model_env_rejects_unknown_tokens(raw):
-    with pytest.raises(ValueError, match=MODEL_ENV):
-        parse_model_env(raw)
-
-
 def test_env_gates_rejects_bad_env(monkeypatch):
-    monkeypatch.setenv(MODEL_ENV, "sonic")
-    with pytest.raises(ValueError, match=MODEL_ENV):
+    monkeypatch.setenv(BACKEND_ENV, "sonic")
+    with pytest.raises(ValueError, match=BACKEND_ENV):
         env_gates()
 
 
@@ -59,35 +45,22 @@ def test_resolve_defaults_to_reference():
 
 
 def test_env_var_steers_resolution(monkeypatch):
-    monkeypatch.setenv(MODEL_ENV, "reference")
+    monkeypatch.setenv(BACKEND_ENV, "reference")
     assert resolve_model() == "reference"
 
 
 @needs_cmodel
 def test_precedence_gate_arg_beats_process_and_env(monkeypatch):
-    monkeypatch.setenv(MODEL_ENV, "compiled")
+    monkeypatch.setenv(BACKEND_ENV, "compiled")
     set_model_gate("compiled")
     assert resolve_model("reference") == "reference"
 
 
 @needs_cmodel
 def test_precedence_process_gate_beats_env(monkeypatch):
-    monkeypatch.setenv(MODEL_ENV, "reference")
+    monkeypatch.setenv(BACKEND_ENV, "reference")
     set_model_gate("compiled")
     assert resolve_model() == "compiled"
-
-
-@needs_cmodel
-def test_config_model_beats_env(monkeypatch):
-    monkeypatch.setenv(MODEL_ENV, "compiled")
-    cfg = scaling_config("DynamicSubtree", 2, 0.05, seed=1)
-    cfg = cfg.replace(model="reference")
-    assert env_gates(cfg).model == "reference"
-
-
-@needs_cmodel
-def test_auto_selects_compiled_when_built():
-    assert resolve_model("auto") == "compiled"
 
 
 # ----------------------------------------------------------------------
@@ -96,7 +69,6 @@ def test_auto_selects_compiled_when_built():
 def test_fallback_when_extension_missing(monkeypatch):
     monkeypatch.setattr(backend_mod, "_C", None)
     assert resolve_model("compiled") == "reference"
-    assert resolve_model("auto") == "reference"
     assert compiled_model_viable() is False
     assert compiled_model_unavailable_reason() is not None
     # factories silently hand back the reference classes
@@ -156,7 +128,7 @@ def test_model_info_shape():
     pytest.param("compiled", id="compiled", marks=needs_cmodel),
 ])
 def test_summary_carries_model_provenance(monkeypatch, backend):
-    monkeypatch.setenv(MODEL_ENV, backend)
+    monkeypatch.setenv(BACKEND_ENV, backend)
     cfg = scaling_config("DynamicSubtree", 2, 0.05, seed=7)
     sim = build_simulation(cfg)
     assert sim.model_backend == backend
@@ -173,9 +145,9 @@ def test_summary_carries_model_provenance(monkeypatch, backend):
 def test_build_records_gate_for_runtime_constructions(monkeypatch):
     """``build_simulation`` pins the process gate so objects constructed
     mid-run (failover resets, proxy tiers) pick the build's backend."""
-    monkeypatch.setenv(MODEL_ENV, "compiled")
+    monkeypatch.setenv(BACKEND_ENV, "compiled")
     cfg = scaling_config("DynamicSubtree", 2, 0.05, seed=7)
     build_simulation(cfg)
-    monkeypatch.delenv(MODEL_ENV)
+    monkeypatch.delenv(BACKEND_ENV)
     from repro.model import _cmodel
     assert isinstance(make_metadata_cache(8), _cmodel.MetadataCache)

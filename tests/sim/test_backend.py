@@ -16,7 +16,7 @@ from repro.sim import (CompiledEnvironment, Environment, EventAlreadyTriggered,
                        backend_of, compiled_viable, kernel_info,
                        make_environment)
 from repro.sim import backend as backend_mod
-from repro.sim.backend import (EVENT_TYPES, KERNEL_ENV,
+from repro.sim.backend import (BACKEND_ENV, EVENT_TYPES,
                                compiled_unavailable_reason, resolve_kernel)
 
 needs_compiled = pytest.mark.skipif(
@@ -27,26 +27,25 @@ needs_compiled = pytest.mark.skipif(
 
 class TestSelection:
     def test_default_is_reference(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
         env = make_environment()
         assert type(env) is Environment
         assert backend_of(env) == "reference"
 
     def test_explicit_reference_gate(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "compiled")
+        monkeypatch.setenv(BACKEND_ENV, "compiled")
         env = make_environment(kernel="reference")  # arg beats env var
         assert type(env) is Environment
 
     @needs_compiled
-    @pytest.mark.parametrize("gate", ["compiled", "auto"])
-    def test_compiled_and_auto_gates(self, gate):
-        env = make_environment(kernel=gate)
+    def test_compiled_gate(self):
+        env = make_environment(kernel="compiled")
         assert type(env) is CompiledEnvironment
         assert backend_of(env) == "compiled"
 
     @needs_compiled
     def test_env_var_selects_compiled(self, monkeypatch):
-        monkeypatch.setenv(KERNEL_ENV, "compiled")
+        monkeypatch.setenv(BACKEND_ENV, "compiled")
         assert type(make_environment()) is CompiledEnvironment
 
     @needs_compiled
@@ -55,22 +54,12 @@ class TestSelection:
         assert env.now == 5.0
         assert env.kernel_stats()["fastlane"] is False
 
-    @needs_compiled
-    def test_config_kernel_field_reaches_build(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
-        cfg = ExperimentConfig(n_mds=2, scale=0.05, kernel="compiled")
-        sim = build_simulation(cfg)
-        assert type(sim.env) is CompiledEnvironment
-        sim = build_simulation(cfg.replace(kernel="reference"))
-        assert type(sim.env) is Environment
-
 
 class TestFallback:
     def test_missing_extension_falls_back_silently(self, monkeypatch):
         monkeypatch.setattr(backend_mod, "_C", None)
         assert not backend_mod.compiled_viable()
         assert resolve_kernel("compiled") == "reference"
-        assert resolve_kernel("auto") == "reference"
         env = make_environment(kernel="compiled")
         assert type(env) is Environment
         info = kernel_info(env)
@@ -104,7 +93,7 @@ class TestProvenance:
                         "compiled_viable": True}
 
     def test_summary_carries_backend_fields(self, monkeypatch):
-        monkeypatch.delenv(KERNEL_ENV, raising=False)
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
         cfg = ExperimentConfig(n_mds=2, scale=0.05)
         sim = build_simulation(cfg)
         sim.run_to(cfg.run_until_s)

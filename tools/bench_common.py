@@ -24,7 +24,7 @@ import json
 import os
 import platform
 import time
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 #: warn-only regression threshold against the prior recorded baseline
 REGRESSION_TOLERANCE = 0.15
@@ -56,20 +56,11 @@ def baseline_from_prior(prior, keys: Sequence[str],
     return fallback
 
 
-def trajectory_from_prior(prior, seed_entry: Optional[Callable] = None
-                          ) -> list:
-    """The prior report's trajectory list (a fresh copy, never an alias).
-
-    ``seed_entry(prior)``, when given, synthesizes the first entry from a
-    report that predates trajectory support, so its headline numbers are
-    not lost from the history.
-    """
+def trajectory_from_prior(prior) -> list:
+    """The prior report's trajectory list (a fresh copy, never an alias)."""
     if not prior:
         return []
-    trajectory = prior.get("trajectory")
-    if trajectory is None:
-        trajectory = [seed_entry(prior)] if seed_entry is not None else []
-    return list(trajectory)
+    return list(prior.get("trajectory", []))
 
 
 def warn_if_regressed(current: float, baseline: float, *, what: str,

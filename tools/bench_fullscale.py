@@ -9,14 +9,15 @@ Three stages, each recorded in the report:
    runs are dominated by the python MDS model, so the portable
    compiled-vs-reference signal is measured where the kernel *is* the
    workload.  Best wall of ``--repeat`` runs per backend.
-2. **Equivalence spot check** — a fixed-seed experiment run on each
-   backend; the summaries must be bit-identical (``repr`` equality).
-   Divergence fails the run, like ``bench_request_path``'s fast-lane
-   check.  The exhaustive proofs live in the backend-parametrized test
-   suites; this is the bench-time smoke of the same contract.
+2. **Equivalence spot check** — a fixed-seed experiment run under each
+   ``REPRO_BACKEND`` value; the summaries must be bit-identical (``repr``
+   equality), and divergence fails the run.  The exhaustive proofs live
+   in the backend-parametrized test suites; this is the bench-time smoke
+   of the same contract.
 3. **Figure regeneration** — Figures 2-7 at ``--scale`` (default
-   **1.0**) on the compiled backend (silent fallback to reference when
-   the extension is unbuilt, recorded as ``kernel_backend``).  Text
+   **1.0**) under ``REPRO_BACKEND=compiled`` (silent fallback to
+   reference when an extension is unbuilt, recorded as
+   ``kernel_backend``/``model_backend``).  Text
    tables land in ``results/figures_scale<scale>.txt`` and CSVs in
    ``results/csv_fullscale/``; per-figure wall times go in the report.
 
@@ -47,7 +48,7 @@ from repro.experiments.figures import (FIGURES, fig5, fig6,  # noqa: E402
                                        run_shift_experiment)
 from repro.sim import CompiledEnvironment, Environment  # noqa: E402
 from repro.model.backend import resolve_model  # noqa: E402
-from repro.sim.backend import (KERNEL_ENV, compiled_viable,  # noqa: E402
+from repro.sim.backend import (BACKEND_ENV, compiled_viable,  # noqa: E402
                                resolve_kernel)
 
 #: compiled churn rate (events/wall-s) recorded when this tool landed —
@@ -110,7 +111,7 @@ def equivalence_check(scale: float) -> bool:
     cfg = scaling_config("DynamicSubtree", 4, scale, seed=42)
     reprs = {}
     for backend in ("reference", "compiled"):
-        os.environ[KERNEL_ENV] = backend
+        os.environ[BACKEND_ENV] = backend
         sim = build_simulation(cfg)
         sim.run_to(cfg.run_until_s)
         reprs[backend] = repr(sim.summary())
@@ -184,11 +185,11 @@ def main(argv=None) -> int:
 
     kernel = bench_kernels(churn_events, args.repeat)
 
-    prior_env = os.environ.get(KERNEL_ENV)
+    prior_env = os.environ.get(BACKEND_ENV)
     figures = {}
     try:
         identical = equivalence_check(0.05 if args.quick else 0.1)
-        os.environ[KERNEL_ENV] = "compiled"  # silent fallback if unbuilt
+        os.environ[BACKEND_ENV] = "compiled"  # silent fallback if unbuilt
         figures_backend = resolve_kernel()
         model_backend = resolve_model()
         if not args.no_figures:
@@ -199,9 +200,9 @@ def main(argv=None) -> int:
                                   quiet=args.quick)
     finally:
         if prior_env is None:
-            os.environ.pop(KERNEL_ENV, None)
+            os.environ.pop(BACKEND_ENV, None)
         else:
-            os.environ[KERNEL_ENV] = prior_env
+            os.environ[BACKEND_ENV] = prior_env
 
     compiled_rate = kernel["compiled_events_per_s"]
     regressed = False

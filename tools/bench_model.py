@@ -1,24 +1,24 @@
 #!/usr/bin/env python3
 """Benchmark the compiled model structures and write ``BENCH_model.json``.
 
-Mirrors ``bench_fullscale.py``'s kernel discipline for the *model*
-backend (``REPRO_MODEL``): the headline number is a **model churn**
-rate — the composed stream of metadata-cache, resolution-memo,
-authority-memo and popularity operations that the request-path workload
-performs per served request, replayed directly against the structures on
-each backend (best wall-clock of ``--repeat``).  Driving the structures
-without the surrounding simulator isolates what the C extension buys;
-the whole-simulation rates are recorded alongside for the end-to-end
-picture (there the python serving generators dominate, so the win is
-diluted — that residual is exactly what ``profile_sim.py --breakdown``
-shows).
+Mirrors ``bench_fullscale.py``'s kernel discipline for the *model* half
+of the backend gate: the headline number is a **model churn** rate — the
+composed stream of metadata-cache, resolution-memo, authority-memo and
+popularity operations that the request-path workload performs per served
+request, replayed directly against the structures on each backend
+(explicit ``model=`` arguments, best wall-clock of ``--repeat``).
+Driving the structures without the surrounding simulator isolates what
+the C extension buys; the whole-simulation rates are recorded alongside
+for the end-to-end picture (there the python serving generators
+dominate, so the win is diluted — that residual is exactly what
+``profile_sim.py --breakdown`` shows).
 
 Determinism is enforced twice and each is a hard failure (exit 1):
 
 * the churn replay must leave bit-identical structure state on both
   backends (counters, LRU order, popularity values, memo stats);
 * a fixed-seed steady-state run must produce bit-identical summaries
-  under ``REPRO_MODEL=reference`` and ``REPRO_MODEL=compiled``.
+  under ``REPRO_BACKEND=reference`` and ``REPRO_BACKEND=compiled``.
 
 The baseline is read from the previously committed report at ``--out``
 (its ``churn.compiled_model_ops_per_s``); a >15% regression against it
@@ -41,10 +41,10 @@ import bench_common  # noqa: E402  (tools-dir import)
 from bench_common import load_prior_report  # noqa: E402
 
 from repro.api import run_steady_state, scaling_config  # noqa: E402
-from repro.model.backend import (MODEL_ENV,  # noqa: E402
-                                 compiled_model_viable,
+from repro.model.backend import (compiled_model_viable,  # noqa: E402
                                  make_metadata_cache, make_popularity_map,
                                  make_resolution_memo, resolve_model)
+from repro.sim.backend import BACKEND_ENV, resolve_kernel  # noqa: E402
 
 #: model ops per churn replay (``--quick`` divides by 5)
 CHURN_REQUESTS = 60_000
@@ -234,13 +234,13 @@ def fullsim_check(scale: float, repeat: int):
     cfg = scaling_config("DynamicSubtree", 4, scale, seed=42)
     out = {}
     reprs = {}
-    prior_env = os.environ.get(MODEL_ENV)
+    prior_env = os.environ.get(BACKEND_ENV)
     try:
         for model in ("reference", "compiled"):
             if model == "compiled" and not compiled_model_viable():
                 out[model] = None
                 continue
-            os.environ[MODEL_ENV] = model
+            os.environ[BACKEND_ENV] = model
             best = float("inf")
             result = None
             for _ in range(max(1, repeat)):
@@ -257,12 +257,12 @@ def fullsim_check(scale: float, repeat: int):
                   "sim-ops/wall-s")
     finally:
         if prior_env is None:
-            os.environ.pop(MODEL_ENV, None)
+            os.environ.pop(BACKEND_ENV, None)
         else:
-            os.environ[MODEL_ENV] = prior_env
+            os.environ[BACKEND_ENV] = prior_env
     identical = ("compiled" not in reprs
                  or reprs["reference"] == reprs["compiled"])
-    print(f"identical fixed-seed summaries across model backends: "
+    print(f"identical fixed-seed summaries across backends: "
           f"{identical}")
     return out, identical
 
@@ -292,7 +292,6 @@ def main(argv=None) -> int:
     baseline = baseline_from_prior(prior)
     trajectory = bench_common.trajectory_from_prior(prior)
 
-    from repro.sim.backend import resolve_kernel
     print(f"kernel backend: {resolve_kernel()} | model backend: "
           f"{resolve_model()} (recorded in the report's kernel_backend/"
           "model_backend fields)")
@@ -361,7 +360,7 @@ def main(argv=None) -> int:
               "across model backends")
         return 1
     if not sim_identical:
-        print("ERROR: fixed-seed summaries diverged across model backends")
+        print("ERROR: fixed-seed summaries diverged across backends")
         return 1
     return 0
 

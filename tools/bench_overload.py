@@ -10,10 +10,7 @@ tier), recording:
   headline "the cluster keeps working past saturation" number;
 * the shape checks the figures claim (no-AC goodput collapses past the
   knee, AC goodput stays pinned; the proxy beats traffic control on p99
-  under the hotspot);
-* a fast-lane equivalence check on an admission+proxy configuration —
-  bounded inboxes and the proxy tier must be bit-identical across
-  ``REPRO_FASTPATH`` modes, exactly like the closed-loop path.
+  under the hotspot).
 
 The baseline is **read from the previously committed report** at
 ``--out`` (its ``peak_ac_goodput_ops_per_s``), so every run is compared
@@ -21,8 +18,8 @@ against the last recorded state of the tree.  Goodput is a simulated
 quantity — deterministic per seed, independent of host speed — so a >15%
 regression against the prior baseline means the *model* changed; it
 prints a warning but never fails the run (model changes can be
-deliberate).  The tool exits non-zero only when the fast-lane modes
-diverge.
+deliberate).  Fast-lane equivalence on the admission+proxy path is
+checked in tier-1 (``tests/mds/test_bounded_inbox.py``).
 
 Usage:
     PYTHONPATH=src python tools/bench_overload.py [--quick] [--out PATH]
@@ -34,16 +31,12 @@ import argparse
 import os
 import sys
 import time
-import warnings
 
 sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
 import bench_common  # noqa: E402  (tools-dir import)
 from bench_common import REGRESSION_TOLERANCE, load_prior_report  # noqa: E402,F401
 
-from repro._fastpath import FASTPATH_ENV  # noqa: E402
-from repro.experiments._build import build_simulation  # noqa: E402
-from repro.experiments.overload import (fig_hotspot, fig_overload,  # noqa: E402
-                                        hotspot_config, overload_config)
+from repro.experiments.overload import fig_hotspot, fig_overload  # noqa: E402
 
 #: used only when no prior report exists at ``--out``
 FALLBACK_BASELINE_GOODPUT_OPS_S = 9500.0
@@ -70,28 +63,6 @@ def trajectory_from_prior(prior) -> list:
     return bench_common.trajectory_from_prior(prior)
 
 
-def equivalence_check(scale: float):
-    """Admission + proxy summary comparison across fast-lane modes."""
-    cfg = overload_config(1.25, proxy=True, scale=scale)
-    summaries = {}
-    prior_env = os.environ.get(FASTPATH_ENV)
-    try:
-        for fastpath in (False, True):
-            os.environ[FASTPATH_ENV] = "1" if fastpath else "0"
-            sim = build_simulation(cfg)
-            sim.run_to(cfg.run_until_s)
-            s = sim.summary()
-            summaries[fastpath] = (repr(s), s.offered_ops, s.dropped_ops,
-                                   s.slo_violations, s.goodput_ops_per_s,
-                                   s.proxy)
-    finally:
-        if prior_env is None:
-            os.environ.pop(FASTPATH_ENV, None)
-        else:
-            os.environ[FASTPATH_ENV] = prior_env
-    return summaries[False] == summaries[True]
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true",
@@ -100,7 +71,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="BENCH_overload.json")
     args = parser.parse_args(argv)
 
-    warnings.simplefilter("ignore", DeprecationWarning)
     prior = load_prior_report(args.out)
     baseline = baseline_from_prior(prior)
     trajectory = trajectory_from_prior(prior)
@@ -132,9 +102,6 @@ def main(argv=None) -> int:
     print(f"hotspot p99: proxy {proxy_p99:.2f} ms vs "
           f"traffic control {tc_p99:.2f} ms "
           f"(proxy wins: {proxy_beats_tc})")
-
-    identical = equivalence_check(args.scale)
-    print(f"fast-lane equivalence (admission+proxy): {identical}")
 
     vs_baseline = peak_ac_goodput / baseline
     regressed = bench_common.warn_if_regressed(
@@ -176,13 +143,9 @@ def main(argv=None) -> int:
             "headers": hotspot.headers,
             "rows": [list(r) for r in hotspot.rows],
         },
-        "identical_summaries_across_fastpath": identical,
         "trajectory": trajectory,
     }
     bench_common.write_report(args.out, report)
-    if not identical:
-        print("ERROR: fast-lane summaries diverged on the overload path")
-        return 1
     return 0
 
 

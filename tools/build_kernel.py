@@ -4,8 +4,8 @@
 Compiles ``src/repro/sim/_ckernel.c`` (event calendar) and
 ``src/repro/model/_cmodel.c`` (MDS-model hot spots) with the running
 interpreter's toolchain (``setup.py build_ext --inplace``), then imports
-both results and reports whether ``REPRO_KERNEL=compiled`` /
-``REPRO_MODEL=compiled`` will actually select them.  Safe to run on
+both results and reports whether ``REPRO_BACKEND=compiled`` will
+actually select them.  Safe to run on
 hosts without a C compiler: the extensions are declared optional, so the
 build degrades to a warning and this script exits non-zero with the
 reason instead of a traceback.

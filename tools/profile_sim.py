@@ -11,10 +11,10 @@ per-call costs) and reports min and median wall time.  ``--parallel`` /
 ``--serial`` instead drive a ``--seeds``-wide sweep through
 ``repro.parallel.run_many`` in the chosen mode, timing the whole sweep.
 
-``--backend`` pins the event-kernel backend (``REPRO_KERNEL``) for the
-run; ``--backend both`` times one run on each backend and prints their
-kernel counters side by side — the quickest way to see what the compiled
-calendar buys on this host.
+``--backend`` pins the backend (``REPRO_BACKEND``: event kernel and
+model structures) for the run; ``--backend both`` times one run on each
+backend and prints their kernel counters side by side — the quickest way
+to see what the compiled extensions buy on this host.
 
 ``--breakdown`` buckets the profiled time by subsystem (cProfile module
 prefixes): the event *kernel* (``repro.sim``), the metadata *model*
@@ -41,8 +41,8 @@ import statistics
 import sys
 import time
 
-from repro.api import (KERNEL_ENV, build_simulation, compiled_viable,
-                       resolve_kernel, run_many, require_ok,
+from repro.api import (BACKEND_ENV, build_simulation, compiled_viable,
+                       resolve_kernel, resolve_model, run_many, require_ok,
                        run_steady_state, scaling_config)
 
 
@@ -62,7 +62,7 @@ def _single_once(config):
 
 def _counters_run(config, backend):
     """One timed run pinned to ``backend``; its merged kernel counters."""
-    os.environ[KERNEL_ENV] = backend
+    os.environ[BACKEND_ENV] = backend
     sim = build_simulation(config)
     t = time.perf_counter()
     sim.run_to(config.run_until_s)
@@ -169,10 +169,9 @@ def main(argv=None) -> int:
                              "instead of the flat function listing")
     parser.add_argument("--backend", choices=["reference", "compiled",
                                               "both"],
-                        help="pin the event-kernel backend (REPRO_KERNEL) "
-                             "for the run; 'both' times one run per "
-                             "backend and prints kernel counters side by "
-                             "side")
+                        help="pin the backend (REPRO_BACKEND) for the "
+                             "run; 'both' times one run per backend and "
+                             "prints kernel counters side by side")
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
@@ -188,19 +187,20 @@ def main(argv=None) -> int:
             parser.error("--backend both compares single runs; drop "
                          "--parallel/--serial")
         cfg = scaling_config(args.strategy, args.n_mds, args.scale)
-        prior_env = os.environ.get(KERNEL_ENV)
+        prior_env = os.environ.get(BACKEND_ENV)
         try:
             _print_side_by_side(cfg, args.repeat)
         finally:
             if prior_env is None:
-                os.environ.pop(KERNEL_ENV, None)
+                os.environ.pop(BACKEND_ENV, None)
             else:
-                os.environ[KERNEL_ENV] = prior_env
+                os.environ[BACKEND_ENV] = prior_env
         return 0
     if args.backend is not None:
-        os.environ[KERNEL_ENV] = args.backend
-    print(f"kernel backend: {resolve_kernel()} "
-          f"(compiled extension {'built' if compiled_viable() else 'absent'})")
+        os.environ[BACKEND_ENV] = args.backend
+    print(f"kernel backend: {resolve_kernel()} | model backend: "
+          f"{resolve_model()} "
+          f"(compiled kernel {'built' if compiled_viable() else 'absent'})")
 
     config = scaling_config(args.strategy, args.n_mds, args.scale)
 
