@@ -5,9 +5,10 @@ runs the corresponding paper experiment once (``benchmark.pedantic`` with a
 single round — these are simulations, not microbenchmarks), prints the
 same series the paper plots, and asserts the qualitative shape.
 
-``REPRO_SCALE`` (default 0.5 here) trades fidelity for wall time; the
-shape assertions are written to hold from 0.4 upward — below that the
-simulated systems are too small for the paper's contrasts to bind.
+``REPRO_SCALE`` (default 0.5 here) trades fidelity for wall time, but
+0.5 is the floor: the shape assertions hold from 0.5 upward — below
+that the simulated systems are too small for the paper's contrasts to
+bind (at 0.4 the recovery and lazy-update ablations already fail).
 
 Figure sweeps are submitted through :mod:`repro.parallel`, which fans
 independent configs across worker processes on multi-core hosts.  Set

@@ -2,8 +2,8 @@
 
 Times a small Fig. 2-style sweep both ways and asserts the determinism
 contract: the process pool must return bit-identical results to the serial
-path.  ``tools/bench_sweep.py`` is the full standalone version of this
-measurement (it also writes ``BENCH_parallel.json``).
+path.  On a single-CPU host the pool can only add overhead, so expect
+a speed-up of about 1x or slightly below there.
 """
 
 from repro.api import require_ok, run_many, scaling_config

@@ -9,16 +9,16 @@ strategies it evaluates, plus every substrate the study depends on:
 * :mod:`repro.sim`        — the discrete-event kernel
 * :mod:`repro.namespace`  — the file-system hierarchy (embedded inodes,
   hard-link anchor table, permissions, snapshot generator)
-* :mod:`repro.storage`    — journal + object-store tiers, COW B-tree
-  directory objects with snapshots
+* :mod:`repro.storage`    — journal + object-store tiers (one I/O per
+  directory object)
 * :mod:`repro.cache`      — hierarchical LRU and replica registry
 * :mod:`repro.partition`  — the five partitioning strategies
 * :mod:`repro.mds`        — MDS nodes/cluster: serving, traversal,
   traffic control, load balancing, migration, dirfrag, failover
 * :mod:`repro.clients`    — client population and workload generators
-* :mod:`repro.placement`  — client-recalculable file->object->OSD layout
-* :mod:`repro.trace`      — workload trace record/replay
+* :mod:`repro.proxy`      — the request-coalescing proxy tier
 * :mod:`repro.metrics`    — counters, series, statistics, text tables
+* :mod:`repro.obs`        — request tracing (spans, sinks)
 * :mod:`repro.experiments` — configs and drivers for Figures 2-7
 
 See DESIGN.md for the system inventory and EXPERIMENTS.md for the

@@ -63,7 +63,7 @@ class ObjectStore:
         self.stats.dir_reads += 1
 
     def write_dir_object(self, dir_ino: int) -> Generator[Event, Any, None]:
-        """Rewrite the changed B-tree nodes of a directory object."""
+        """Write back a directory object (one I/O, whatever changed)."""
         device = self.device_for(dir_ino)
         fast = device.write_event(1)
         if fast is not None:

@@ -2,8 +2,8 @@
 
 Each fast example is executed in-process (fresh module namespace) and must
 complete without raising.  The slow sweep examples (strategy_comparison,
-workload_shift, trace_replay) are exercised indirectly by the benchmark
-suite, which runs the same experiment code.
+workload_shift) are exercised indirectly by the benchmark suite, which
+runs the same experiment code.
 """
 
 import runpy
@@ -18,9 +18,7 @@ FAST_EXAMPLES = [
     "quickstart.py",
     "flash_crowd.py",
     "scientific_burst.py",
-    "data_placement.py",
     "failover.py",
-    "snapshots.py",
     "custom_strategy.py",
 ]
 

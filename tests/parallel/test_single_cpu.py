@@ -1,34 +1,15 @@
-"""Single-CPU hosts: auto mode stays serial, bench_sweep skips the pool.
+"""Single-CPU hosts: auto mode stays serial.
 
 On a 1-CPU box the process pool can only add overhead, so ``resolve_mode``
-must pick serial without being told, and ``tools/bench_sweep.py`` must
-record ``parallel_viable: false`` instead of benchmarking a slowdown.
+must pick serial without being told.
 """
 
-import importlib.util
-import json
-import sys
-from pathlib import Path
-from types import SimpleNamespace
-
-import pytest
-
 from repro.parallel import PARALLEL_ENV, resolve_mode
-
-REPO = Path(__file__).resolve().parents[2]
 
 
 def tiny(seed=1, **kw):
     from repro.api import scaling_config
     return scaling_config("DynamicSubtree", 2, 0.05, seed=seed, **kw)
-
-
-def _load_bench_sweep():
-    spec = importlib.util.spec_from_file_location(
-        "bench_sweep", REPO / "tools" / "bench_sweep.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_auto_mode_stays_serial_on_one_cpu(monkeypatch):
@@ -44,35 +25,3 @@ def test_auto_mode_goes_parallel_with_cpus(monkeypatch):
     monkeypatch.setattr(executor.os, "cpu_count", lambda: 8)
     parallel, workers = resolve_mode([tiny(seed=s) for s in range(4)])
     assert parallel is True and workers == 4
-
-
-@pytest.mark.parametrize("cpus,viable", [(1, False), (4, True)])
-def test_bench_sweep_records_parallel_viability(monkeypatch, tmp_path,
-                                               cpus, viable):
-    bench = _load_bench_sweep()
-    monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
-    # stub out the heavy lifting: one fake result per sweep config, and an
-    # instant single run, so the test only exercises the decision logic
-    fake = SimpleNamespace(total_ops=100)
-    modes_timed = []
-
-    def fake_time_sweep(configs, mode):
-        modes_timed.append(mode)
-        return 1.0, [fake] * len(configs)
-
-    monkeypatch.setattr(bench, "time_sweep", fake_time_sweep)
-    monkeypatch.setattr(bench, "run_steady_state", lambda cfg: fake)
-    out = tmp_path / "report.json"
-    rc = bench.main(["--quick", "--seeds", "1", "--repeat", "1",
-                     "--out", str(out)])
-    assert rc == 0
-    report = json.loads(out.read_text())
-    assert report["sweep"]["parallel_viable"] is viable
-    if viable:
-        assert modes_timed == ["serial", "parallel"]
-        assert report["sweep"]["parallel_s"] is not None
-    else:
-        assert modes_timed == ["serial"]
-        assert report["sweep"]["parallel_s"] is None
-        assert report["sweep"]["speedup"] is None
-        assert report["identical_results"] is True

@@ -19,7 +19,7 @@ to see what the compiled extensions buy on this host.
 ``--breakdown`` buckets the profiled time by subsystem (cProfile module
 prefixes): the event *kernel* (``repro.sim``), the metadata *model*
 (cache/namespace/mds/partition/model/proxy), and *observability*
-(obs/metrics/trace) — the quickest way to see which compiled extension
+(obs/metrics) — the quickest way to see which compiled extension
 the next wall-second should come from.
 
 Usage:
@@ -104,7 +104,7 @@ BREAKDOWN_BUCKETS = (
     ("kernel", ("repro/sim/",)),
     ("model", ("repro/cache/", "repro/namespace/", "repro/mds/",
                "repro/partition/", "repro/model/", "repro/proxy/")),
-    ("observability", ("repro/obs/", "repro/metrics/", "repro/trace/")),
+    ("observability", ("repro/obs/", "repro/metrics/")),
 )
 
 
