@@ -202,18 +202,7 @@ class MdsCluster:
             request.trace.add("net.reply", now,
                               now + self.params.net_hop_s,
                               node=reply.served_by)
-        env = self.env
-        if env.fastlane:
-            # One calendar entry instead of two: the done event itself is
-            # scheduled one hop out, already carrying the reply, instead
-            # of a timer whose callback re-schedules it at arrival time.
-            done._triggered = True
-            done._ok = True
-            done._value = reply
-            env.schedule(done, delay=self.params.net_hop_s)
-        else:
-            timer = env.timeout(self.params.net_hop_s)
-            timer.callbacks.append(lambda _ev: done.succeed(reply))
+        self.env.succeed_later(done, reply, self.params.net_hop_s)
 
     def on_deferred_work(self, count: int) -> None:
         """Strategies report lazily-owed updates here (visibility only)."""

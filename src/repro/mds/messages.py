@@ -49,6 +49,11 @@ class OpType(enum.Enum):
     SETATTR = "setattr"
     LINK = "link"
 
+    #: members are singletons compared by identity, so the C-level
+    #: identity hash is exact and skips ``Enum.__hash__``'s Python frame
+    #: (ops key the proxy cache and the mutation test on every request)
+    __hash__ = object.__hash__
+
 
 #: Operations that only read metadata — a replica may serve these without
 #: consulting the authority.

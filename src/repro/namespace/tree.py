@@ -44,6 +44,9 @@ class Namespace:
         #: optional second precise-invalidation consumer (the cluster's
         #: distribution-info memo); duck-typed ``invalidate_ino(ino)``
         self._structure_watcher = None
+        #: dir ino -> (subdir names, file names) in entry order, built on
+        #: first ask; dropped wherever that directory's ``children`` change
+        self._listings: Dict[int, Tuple[List[str], List[str]]] = {}
         #: bumped on every structural mutation (unlink/rename/orphan
         #: release); consumers with coarse-grained caches keyed on
         #: namespace structure (partition authority caches) compare it
@@ -137,16 +140,32 @@ class Namespace:
             return None
 
     def subdir_names(self, node: Inode) -> List[str]:
-        """Names of ``node``'s directory children, in entry order."""
-        inodes = self._inodes
-        return [name for name, ino in node.children.items()  # type: ignore[union-attr]
-                if inodes[ino].is_dir]
+        """Names of ``node``'s directory children, in entry order.
+
+        The list is cached and shared between calls: do not mutate it.
+        """
+        listing = self._listings.get(node.ino)
+        if listing is None:
+            listing = self._list_children(node)
+        return listing[0]
 
     def file_names(self, node: Inode) -> List[str]:
-        """Names of ``node``'s file children, in entry order."""
+        """Names of ``node``'s file children, in entry order.
+
+        The list is cached and shared between calls: do not mutate it.
+        """
+        listing = self._listings.get(node.ino)
+        if listing is None:
+            listing = self._list_children(node)
+        return listing[1]
+
+    def _list_children(self, node: Inode) -> Tuple[List[str], List[str]]:
         inodes = self._inodes
-        return [name for name, ino in node.children.items()  # type: ignore[union-attr]
-                if inodes[ino].is_file]
+        children = node.children.items()  # type: ignore[union-attr]
+        listing = self._listings[node.ino] = (
+            [name for name, ino in children if inodes[ino].is_dir],
+            [name for name, ino in children if inodes[ino].is_file])
+        return listing
 
     def path_of(self, ino: int) -> Path:
         """Primary path of an inode (via embedding parents)."""
@@ -311,6 +330,7 @@ class Namespace:
         inode = self._new_inode(itype, parent_ino=parent.ino, mode=mode,
                                 owner=owner, size=size, mtime=mtime)
         parent.children[name] = inode.ino  # type: ignore[index]
+        self._listings.pop(parent.ino, None)
         parent.mtime = max(parent.mtime, mtime)
         self.dentry_add_epoch += 1
         return inode
@@ -327,6 +347,7 @@ class Namespace:
         if name in new_parent.children:  # type: ignore[operator]
             raise AlreadyExists(pathmod.format_path(new_path))
         new_parent.children[name] = inode.ino  # type: ignore[index]
+        self._listings.pop(new_parent.ino, None)
         new_parent.mtime = max(new_parent.mtime, mtime)
         self.dentry_add_epoch += 1
         self._extra_links.setdefault(inode.ino, set()).add(
@@ -357,6 +378,8 @@ class Namespace:
             if inode.entry_count:
                 raise NotEmpty(pathmod.format_path(path))
             del parent.children[name]  # type: ignore[union-attr]
+            self._listings.pop(parent.ino, None)
+            self._listings.pop(child_ino, None)
             del self._inodes[child_ino]
             parent.mtime = max(parent.mtime, mtime)
             self._structure_changed(child_ino)
@@ -367,6 +390,7 @@ class Namespace:
                       and (parent.ino, name) not in
                       self._extra_links.get(child_ino, ()))
         del parent.children[name]  # type: ignore[union-attr]
+        self._listings.pop(parent.ino, None)
         parent.mtime = max(parent.mtime, mtime)
         if inode.nlink > 1:
             was_anchored_pairs = None
@@ -430,6 +454,8 @@ class Namespace:
 
         del old_parent.children[old_name]  # type: ignore[union-attr]
         new_parent.children[new_name] = child_ino  # type: ignore[index]
+        self._listings.pop(old_parent.ino, None)
+        self._listings.pop(new_parent.ino, None)
         old_parent.mtime = max(old_parent.mtime, mtime)
         new_parent.mtime = max(new_parent.mtime, mtime)
 

@@ -22,10 +22,13 @@ exactly that trade against §4.4 traffic control.
 
 Hotness reuses the popularity machinery (:class:`~repro.mds.popularity.
 PopularityMap` keyed by ``(op, path)``): a decayed access counter above
-``hot_threshold`` marks an item hot.  Only *hot, read-only* replies are
-cached (TTL-bounded staleness) or coalesced; mutations always go upstream
-and invalidate the touched paths, so a client can never read its own
-write stale.
+``hot_threshold`` marks an item hot.  Every successful upstream *read*
+reply is remembered in the reply cache, hot or not; hotness only decides
+whether a read consults that cache (TTL-bounded staleness) or joins an
+in-flight fetch.  Mutations always go upstream and invalidate the touched
+paths, so a client can never read its own write stale.  Since only reads
+are remembered, invalidation pops the ``(read op, path)`` keys directly
+instead of scanning the cache.
 
 The tier exposes the cluster's client-facing surface (``submit``,
 ``strategy``, ``n_mds``, ``params``, ``tracer``), so closed- and open-loop
@@ -35,10 +38,11 @@ clients work unchanged whether they talk to the cluster or the tier.
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
-from ..mds.messages import MdsReply, MdsRequest, OVERLOAD_ERROR
+from ..mds.messages import (MdsReply, MdsRequest, OVERLOAD_ERROR,
+                             READ_ONLY_OPS)
 from ..model.backend import make_popularity_map
 from ..sim import Environment, Event, Resource
 
@@ -229,11 +233,11 @@ class ProxyNode:
                 *, forwarded: int) -> None:
         """Deliver ``reply`` to the client after the proxy->client hop."""
         env = self.env
-        net = self.tier.net_hop_s
-        final = replace(reply, forwarded=forwarded,
-                        latency_s=env.now - submitted_at)
-        timer = env.timeout(net, final)
-        timer.callbacks.append(lambda ev, d=done: d.succeed(ev._value))
+        final = MdsReply(reply.ok, reply.served_by, reply.op, reply.path,
+                         error=reply.error, target_ino=reply.target_ino,
+                         locations=reply.locations, forwarded=forwarded,
+                         latency_s=env.now - submitted_at)
+        env.succeed_later(done, final, self.tier.net_hop_s)
 
     def _remember(self, key: _Key, reply: MdsReply) -> None:
         cache = self._cache
@@ -244,14 +248,19 @@ class ProxyNode:
         cache[key] = (reply, self.env.now)
 
     def _invalidate(self, request: MdsRequest) -> None:
-        """A mutation went upstream: drop every cached reply it staled."""
+        """A mutation went upstream: drop every cached reply it staled.
+
+        Only reads are remembered, so the stale keys are exactly the
+        ``(read op, path)`` pairs: pop those instead of scanning the cache.
+        """
+        cache = self._cache
+        stats = self.stats
         for path in (request.path, request.dst_path):
             if path is None:
                 continue
-            stale = [key for key in self._cache if key[1] == path]
-            for key in stale:
-                del self._cache[key]
-                self.stats.invalidations += 1
+            for op in READ_ONLY_OPS:
+                if cache.pop((op, path), None) is not None:
+                    stats.invalidations += 1
 
 
 class ProxyTier:

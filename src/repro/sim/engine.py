@@ -36,6 +36,18 @@ recycles the inline events it consumed.  ``kernel_stats()`` reports events
 scheduled, fast-lane resumes and pool reuse so the churn reduction is
 visible; with the fast lane off every structure and code path is exactly
 the reference heap kernel.
+
+Two more elisions ride the same switch, each saving one calendar entry:
+
+* :meth:`Environment.succeed_later` delivers a message (an MDS or proxy
+  reply one network hop out) by scheduling the destination event itself,
+  value attached, instead of a timer whose callback succeeds it;
+* a process that finishes with nobody waiting on it (empty callback
+  list) settles in place — triggered, value frozen, processed, due now —
+  instead of pushing a completion entry that would dispatch nothing.
+  ``yield proc``, ``run(until=proc)`` and ``all_of``/``any_of`` see it
+  as any other processed event.  A process that *fails* still goes
+  through the calendar, so a crash nobody handles raises from ``run()``.
 """
 
 from __future__ import annotations
@@ -403,6 +415,24 @@ class Environment:
         when = self._now + delay
         event._scheduled_at = when
         _heappush(self._queue, (when, (priority << _PRIO_SHIFT) | seq, event))
+
+    def succeed_later(self, event: Event, value: Any, delay: float) -> None:
+        """Succeed ``event`` with ``value`` ``delay`` units from now.
+
+        The message-delivery primitive (a reply arriving one network hop
+        out).  With the fast lane on it costs one calendar entry: the
+        event itself is scheduled at its arrival time, already carrying
+        ``value``.  With the lane off it is the reference pair, a timer
+        whose callback succeeds the event on arrival.
+        """
+        if self._fastlane:
+            event._triggered = True
+            event._ok = True
+            event._value = value
+            self.schedule(event, delay=delay)
+        else:
+            timer = self.timeout(delay)
+            timer.callbacks.append(lambda _ev: event.succeed(value))
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""

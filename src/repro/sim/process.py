@@ -119,6 +119,14 @@ class Process(Event):
                 else:
                     target = generator.send(send)
             except StopIteration as stop:
+                if env._fastlane and not self.callbacks:
+                    # Nobody waits: settle in place rather than push a
+                    # completion entry that would dispatch nothing.
+                    self._triggered = True
+                    self._value = stop.value
+                    self._scheduled_at = env._now
+                    self.callbacks = None  # mark processed
+                    return
                 self.succeed(stop.value, priority=NORMAL)
                 return
             except StopSimulation:
