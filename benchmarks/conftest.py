@@ -10,11 +10,11 @@ same series the paper plots, and asserts the qualitative shape.
 that the simulated systems are too small for the paper's contrasts to
 bind (at 0.4 the recovery and lazy-update ablations already fail).
 
-Figure sweeps are submitted through :mod:`repro.parallel`, which fans
-independent configs across worker processes on multi-core hosts.  Set
-``REPRO_PARALLEL=0`` to force serial execution (results are bit-identical
-either way; only wall time changes) or ``REPRO_PARALLEL=<n>`` to pin the
-worker count.
+Figure sweeps go through :func:`repro.parallel.run_many`, which maps the
+runner over independent configs on one worker process per CPU.  Set
+``REPRO_PARALLEL=0`` to run them serially in-process (results are
+bit-identical either way; only wall time changes) or ``REPRO_PARALLEL=<n>``
+to pin the worker count.
 """
 
 import os

@@ -1,12 +1,13 @@
-"""Benchmark: the parallel sweep executor vs forced-serial execution.
+"""Benchmark: the pooled sweep map vs a serial in-process sweep.
 
 Times a small Fig. 2-style sweep both ways and asserts the determinism
 contract: the process pool must return bit-identical results to the serial
-path.  On a single-CPU host the pool can only add overhead, so expect
-a speed-up of about 1x or slightly below there.
+path.  The mode is picked through ``REPRO_PARALLEL`` (``0`` serial, ``2``
+two workers).  On a single-CPU host the pool can only add overhead, so
+expect a speed-up of about 1x or slightly below there.
 """
 
-from repro.api import require_ok, run_many, scaling_config
+from repro.api import run_many, scaling_config
 
 from .conftest import bench_scale, run_once
 
@@ -18,17 +19,16 @@ def sweep_configs():
             for s in range(2)]
 
 
-def test_sweep_serial(benchmark):
-    results = run_once(
-        benchmark,
-        lambda: require_ok(run_many(sweep_configs(), mode="serial")))
+def test_sweep_serial(benchmark, monkeypatch):
+    monkeypatch.setenv("REPRO_PARALLEL", "0")
+    results = run_once(benchmark, lambda: run_many(sweep_configs()))
     assert len(results) == 4
 
 
-def test_sweep_parallel_matches_serial(benchmark):
+def test_sweep_parallel_matches_serial(benchmark, monkeypatch):
     configs = sweep_configs()
-    serial = require_ok(run_many(configs, mode="serial"))
-    parallel = run_once(
-        benchmark,
-        lambda: require_ok(run_many(configs, mode="parallel")))
+    monkeypatch.setenv("REPRO_PARALLEL", "0")
+    serial = run_many(configs)
+    monkeypatch.setenv("REPRO_PARALLEL", "2")
+    parallel = run_once(benchmark, lambda: run_many(configs))
     assert parallel == serial

@@ -17,10 +17,10 @@ Three layers, lowest first:
 * ``run_experiment(config) -> RunResult`` — build, run to completion,
   return aggregated stats plus collected traces; optionally export the
   traces as JSONL.
-* ``run_many(configs)`` / ``run_many_timeline(configs)`` — fan a whole
-  sweep of independent configs across worker processes with input-order,
-  bit-identical-to-serial result assembly (``REPRO_PARALLEL=0`` forces
-  serial; a failed config yields a ``TaskError`` in its slot).
+* ``run_many(configs, runner=run_steady_state, **kwargs)`` — map a
+  runner over a sweep of independent configs on worker processes; results
+  come back in input order, bit-identical to a serial loop
+  (``REPRO_PARALLEL=0`` runs it serially; a failing config raises).
 * the figure drivers (``fig2`` … ``fig7``, ``run_steady_state``,
   ``run_timeline``) — the paper's evaluation, now submitting their sweeps
   through ``run_many``.
@@ -29,7 +29,7 @@ Three layers, lowest first:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .experiments._build import Simulation, build_simulation
 from .experiments.config import (EnvGates, ExperimentConfig, env_gates,
@@ -49,8 +49,7 @@ from .mds import SimParams
 from .metrics import LatencyHistogram, LatencySummary
 from .obs import (JsonlSink, RingBufferSink, Span, Trace, Tracer,
                   export_jsonl, read_jsonl)
-from .parallel import (SweepError, TaskError, require_ok, run_many,
-                       run_many_timeline)
+from .parallel import run_many
 from .model.backend import compiled_model_viable, model_info, resolve_model
 from .proxy import ProxySpec, ProxyTier
 from .sim.backend import (BACKEND_ENV, backend_of, compiled_viable,
@@ -68,32 +67,6 @@ class RunResult:
     traces: List[Trace] = field(default_factory=list)
     #: where the JSONL export landed, if one was requested
     jsonl_path: Optional[str] = None
-
-    @property
-    def latency_by_op(self) -> Dict[str, LatencySummary]:
-        """Per-op-type p50/p95/p99 digests (op name -> summary)."""
-        return self.summary.latency_by_op
-
-    # -- overload accessors (all zero for classic closed-loop runs) --------
-    @property
-    def offered_ops(self) -> int:
-        """Requests submitted by open-loop sources."""
-        return self.summary.offered_ops
-
-    @property
-    def dropped_ops(self) -> int:
-        """Requests shed by admission control (bounded inboxes)."""
-        return self.summary.dropped_ops
-
-    @property
-    def slo_violations(self) -> int:
-        """Completed ops whose latency missed the workload's SLO."""
-        return self.summary.slo_violations
-
-    @property
-    def goodput_ops_per_s(self) -> float:
-        """Within-SLO completions per second over the measure window."""
-        return self.summary.goodput_ops_per_s
 
 
 def run_experiment(config: ExperimentConfig, *,
@@ -145,11 +118,7 @@ __all__ = [
     "RunResult",
     "run_experiment",
     # parallel sweep execution
-    "SweepError",
-    "TaskError",
-    "require_ok",
     "run_many",
-    "run_many_timeline",
     # typed summaries
     "ClusterSummary",
     "LatencyHistogram",

@@ -86,8 +86,8 @@ class Simulation:
 # only from the "snapshot.*" named RNG streams, which nothing else in a run
 # reads, and every stream is derived statelessly from (seed, name).  A sweep
 # whose configs share (scale, snapshot seed) therefore regenerates the exact
-# same tree over and over.  When the memo is enabled — sweep workers turn it
-# on; plain ``build_simulation`` calls leave it off — the pristine generated
+# same tree over and over.  Inside ``snapshot_memo()`` — every sweep task
+# runs there; plain ``build_simulation`` calls do not — the pristine generated
 # tree is cached per key and each run receives a deep copy, which is
 # bit-identical to regenerating (enforced by the serial/parallel equivalence
 # tests).
@@ -95,35 +95,23 @@ class Simulation:
 _SnapshotKey = Tuple[int, SnapshotSpec]
 _SNAPSHOT_MEMO: Dict[_SnapshotKey, Tuple[Namespace, SnapshotStats]] = {}
 _SNAPSHOT_MEMO_MAX = 8
-_snapshot_memo_enabled = False
-
-
-def enable_snapshot_memo(enabled: bool = True) -> None:
-    """Turn the per-process snapshot memo on or off (off clears it)."""
-    global _snapshot_memo_enabled
-    _snapshot_memo_enabled = bool(enabled)
-    if not enabled:
-        _SNAPSHOT_MEMO.clear()
-
-
-def snapshot_memo_enabled() -> bool:
-    return _snapshot_memo_enabled
+_snapshot_memo_active = False
 
 
 @contextmanager
-def snapshot_memo(enabled: bool = True):
+def snapshot_memo():
     """Scoped snapshot-memo switch; restores the previous state on exit.
 
-    Cached trees are kept across uses (the memo is bounded); only an
-    explicit ``enable_snapshot_memo(False)`` clears them.
+    Cached trees outlive the scope (the memo is bounded), so later sweeps
+    in the same process reuse them.
     """
-    global _snapshot_memo_enabled
-    prev = _snapshot_memo_enabled
-    _snapshot_memo_enabled = bool(enabled)
+    global _snapshot_memo_active
+    prev = _snapshot_memo_active
+    _snapshot_memo_active = True
     try:
         yield
     finally:
-        _snapshot_memo_enabled = prev
+        _snapshot_memo_active = prev
 
 
 def _make_snapshot(config: ExperimentConfig,
@@ -131,7 +119,7 @@ def _make_snapshot(config: ExperimentConfig,
     spec = SnapshotSpec(n_users=config.n_users,
                         files_per_user=config.n_files_per_user,
                         shared_tree_files=config.shared_tree_files)
-    if not _snapshot_memo_enabled:
+    if not _snapshot_memo_active:
         ns = Namespace()
         return ns, generate_snapshot(ns, spec, streams)
     key: _SnapshotKey = (config.seed, spec)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import dataclasses
 import os
 from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from typing import Optional
 
 from ..mds import SimParams
 from ..proxy import ProxySpec
@@ -27,12 +27,9 @@ from .workload import ClosedLoopSpec, OpenLoopSpec, WorkloadSpec
 #: Experiment scale factor: multiplies namespace, population and duration.
 SCALE_ENV = "REPRO_SCALE"
 
-#: Sweep execution switch: unset/"auto" picks parallel when it can help,
-#: "0"/"off"/"serial"/"false" forces serial, an integer pins worker count.
+#: Sweep worker count: unset lets the sweep use every CPU it can, an
+#: integer pins the worker count, and "0" or "1" runs the sweep serially.
 PARALLEL_ENV = "REPRO_PARALLEL"
-
-_PARALLEL_SERIAL_TOKENS = frozenset({"0", "off", "serial", "false", "no"})
-_PARALLEL_AUTO_TOKENS = frozenset({"", "1", "on", "auto", "true", "yes"})
 
 
 def env_scale(default: float = 1.0) -> float:
@@ -46,44 +43,31 @@ def env_scale(default: float = 1.0) -> float:
     return value
 
 
-def parse_parallel_env(raw: Optional[str]) -> "Tuple[Optional[bool], Optional[int]]":
-    """Interpret a ``REPRO_PARALLEL`` value.
+def parse_parallel_env(raw: Optional[str]) -> Optional[int]:
+    """Interpret a ``REPRO_PARALLEL`` value as a worker count.
 
-    Returns ``(decision, pinned_workers)``: decision ``False`` forces
-    serial, ``True`` means parallel with ``pinned_workers`` processes, and
-    ``None`` leaves the choice to the auto heuristic.  Raises on tokens
-    that are neither a mode word nor a worker count.
+    Unset or blank gives ``None`` (the sweep picks its own count); a
+    non-negative integer is the pinned count, where ``0`` and ``1`` both
+    mean serial.  Anything else raises.
     """
-    if raw is None:
-        return None, None
-    token = raw.strip().lower()
-    if token in _PARALLEL_SERIAL_TOKENS:
-        return False, None
-    if token in _PARALLEL_AUTO_TOKENS:
-        return None, None
-    try:
-        pinned = int(token)
-    except ValueError:
-        raise ValueError(
-            f"{PARALLEL_ENV}={raw!r} is neither a mode token nor a "
-            "worker count") from None
-    if pinned <= 1:
-        return False, None
-    return True, pinned
+    if raw is None or not raw.strip():
+        return None
+    if not raw.strip().isdigit():
+        raise ValueError(f"{PARALLEL_ENV}={raw!r} is not a worker count "
+                         "(a non-negative integer)")
+    return int(raw)
 
 
 @dataclass(frozen=True)
 class EnvGates:
     """Resolved values of the runtime environment gates.
 
-    ``parallel`` is ``None`` when the decision is left to the sweep
-    executor's auto heuristic; ``parallel_workers`` is the pinned worker
-    count when ``REPRO_PARALLEL=<n>`` named one.  ``backend`` is
+    ``parallel_workers`` is the pinned sweep worker count, or ``None``
+    when ``REPRO_PARALLEL`` is unset.  ``backend`` is
     ``"reference"`` or ``"compiled"`` (the latter still falls back
     silently when an extension is not built).
     """
 
-    parallel: Optional[bool]
     parallel_workers: Optional[int]
     scale: float
     backend: str
@@ -95,8 +79,9 @@ def env_gates(config: "Optional[ExperimentConfig]" = None, *,
 
     Precedence, per gate: **explicit config field > env var > default**.
 
-    * ``parallel`` — ``config.parallel`` when set, else ``REPRO_PARALLEL``
-      (:func:`parse_parallel_env`), else ``None`` (auto).
+    * ``parallel_workers`` — no config field exists (serial and pooled
+      sweeps are bit-identical): ``REPRO_PARALLEL``
+      (:func:`parse_parallel_env`), else ``None``.
     * ``scale`` — ``config.scale`` when a config is given (the field is
       always explicit on a config), else ``REPRO_SCALE``, else
       ``default_scale``.
@@ -108,13 +93,10 @@ def env_gates(config: "Optional[ExperimentConfig]" = None, *,
       (:func:`repro.sim.backend.resolve_kernel`,
       :func:`repro.model.backend.resolve_model`).
     """
-    parallel, workers = parse_parallel_env(os.environ.get(PARALLEL_ENV))
-    if config is not None and config.parallel is not None:
-        parallel = config.parallel
+    workers = parse_parallel_env(os.environ.get(PARALLEL_ENV))
     scale = config.scale if config is not None else env_scale(default_scale)
     backend = parse_backend_env(os.environ.get(BACKEND_ENV)) or REFERENCE
-    return EnvGates(parallel=parallel, parallel_workers=workers,
-                    scale=scale, backend=backend)
+    return EnvGates(parallel_workers=workers, scale=scale, backend=backend)
 
 
 @dataclass(frozen=True)
@@ -162,12 +144,6 @@ class ExperimentConfig:
 
     params: SimParams = field(default_factory=SimParams)
     scale: float = 1.0
-
-    # sweep execution: None lets repro.parallel decide (REPRO_PARALLEL /
-    # auto); False forces any sweep containing this config to run serially
-    # in-process (debugging, CI reproducibility).  Never affects results —
-    # serial and parallel runs are bit-identical by contract.
-    parallel: Optional[bool] = None
 
     def __post_init__(self) -> None:
         if not isinstance(self.workload, (ClosedLoopSpec, OpenLoopSpec)):

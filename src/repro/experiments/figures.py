@@ -132,21 +132,6 @@ def scaling_config(strategy: str, n_mds: int, scale: float,
     return ExperimentConfig(**base)
 
 
-def _averaged_steady(configs: List[ExperimentConfig]) -> SteadyStateResult:
-    """Run several seeds of one configuration and average the aggregates.
-
-    The configs are submitted through :mod:`repro.parallel` (imported
-    lazily: the executor's canonical tasks live in the runner module, so a
-    module-level import here would be circular), which fans them across
-    worker processes unless ``REPRO_PARALLEL`` or the configs force serial
-    mode.  Results are identical either way.
-    """
-    from ..parallel import require_ok, run_many
-
-    return _average_results(
-        require_ok(run_many(configs, task=run_steady_state)))
-
-
 def _average_results(results: List[SteadyStateResult]) -> SteadyStateResult:
     """Average the aggregates of several seeds of one configuration."""
     n = len(results)
@@ -178,7 +163,8 @@ def _scaling_sweep(scale: float, seeds: int,
                    sizes: Optional[List[int]] = None,
                    progress: Optional[Callable[[str], None]] = None,
                    ) -> Dict[str, Dict[int, SteadyStateResult]]:
-    from ..parallel import require_ok, run_many
+    # imported here: repro.parallel imports this package at module level
+    from ..parallel import run_many
 
     strategies = strategies or strategy_names()
     sizes = sizes or _sizes_for(scale)
@@ -187,7 +173,7 @@ def _scaling_sweep(scale: float, seeds: int,
     cells = [(name, n_mds) for name in strategies for n_mds in sizes]
     configs = [scaling_config(name, n_mds, scale, seed=42 + 7 * s)
                for name, n_mds in cells for s in range(seeds)]
-    flat = require_ok(run_many(configs, task=run_steady_state))
+    flat = run_many(configs, run_steady_state)
     out: Dict[str, Dict[int, SteadyStateResult]] = {}
     for j, (name, n_mds) in enumerate(cells):
         out.setdefault(name, {})[n_mds] = _average_results(
@@ -259,7 +245,7 @@ def fig4(scale: float = 0.5, n_mds: int = 8, seeds: int = 1,
          fractions: Optional[List[float]] = None,
          progress: Optional[Callable[[str], None]] = None) -> FigureResult:
     """Cache hit rate as a function of per-node cache size / total metadata."""
-    from ..parallel import require_ok, run_many
+    from ..parallel import run_many
 
     fractions = fractions or [0.05, 0.1, 0.2, 0.3, 0.45, 0.6]
     cells = [(name, frac) for name in strategy_names() for frac in fractions]
@@ -267,7 +253,7 @@ def fig4(scale: float = 0.5, n_mds: int = 8, seeds: int = 1,
                               cache_capacity_per_mds=None,
                               cache_fraction=frac)
                for name, frac in cells for s in range(seeds)]
-    flat = require_ok(run_many(configs, task=run_steady_state))
+    flat = run_many(configs, run_steady_state)
     results: Dict[str, List[float]] = {}
     for j, (name, frac) in enumerate(cells):
         averaged = _average_results(flat[j * seeds:(j + 1) * seeds])
@@ -326,12 +312,11 @@ def run_shift_experiment(scale: float = 0.5,
                          progress: Optional[Callable[[str], None]] = None,
                          ) -> Dict[str, TimelineResult]:
     """Dynamic vs static subtree under the §5.3.2 workload shift."""
-    from ..parallel import require_ok, run_many_timeline
+    from ..parallel import run_many
 
     strategies = ("DynamicSubtree", "StaticSubtree")
     configs = [shift_config(strategy, scale) for strategy in strategies]
-    runs = require_ok(run_many_timeline(configs, sample_interval_s=1.0,
-                                        task=run_timeline))
+    runs = run_many(configs, run_timeline, sample_interval_s=1.0)
     out = {}
     for strategy, run in zip(strategies, runs):
         out[strategy] = run
@@ -429,12 +414,11 @@ def flash_config(traffic_control: bool, scale: float,
 def fig7(scale: float = 0.5,
          progress: Optional[Callable[[str], None]] = None) -> FigureResult:
     """Flash crowd: replies/forwards per second, traffic control off vs on."""
-    from ..parallel import require_ok, run_many_timeline
+    from ..parallel import run_many
 
     settings = (False, True)
     configs = [flash_config(enabled, scale) for enabled in settings]
-    runs = require_ok(run_many_timeline(configs, sample_interval_s=0.1,
-                                        task=run_timeline))
+    runs = run_many(configs, run_timeline, sample_interval_s=0.1)
     results = {}
     for enabled, run in zip(settings, runs):
         results[enabled] = run

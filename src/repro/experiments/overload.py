@@ -129,14 +129,14 @@ def fig_overload(scale: float = 0.5,
                  progress: Optional[Callable[[str], None]] = None,
                  fractions: Optional[List[float]] = None) -> FigureResult:
     """Goodput vs offered load, with and without admission control."""
-    from ..parallel import require_ok, run_many
+    from ..parallel import run_many
 
     fractions = fractions or OVERLOAD_FRACTIONS
     cells = [(name, frac) for name, kw in OVERLOAD_VARIANTS
              for frac in fractions]
     configs = [overload_config(frac, scale=scale, **kw)
                for name, kw in OVERLOAD_VARIANTS for frac in fractions]
-    results = require_ok(run_many(configs, task=run_steady_state))
+    results = run_many(configs, run_steady_state)
 
     rows: List[List[object]] = []
     series: Dict[str, object] = {name: [] for name, _kw in OVERLOAD_VARIANTS}
@@ -212,11 +212,11 @@ def fig_hotspot(scale: float = 0.5,
                 progress: Optional[Callable[[str], None]] = None,
                 ) -> FigureResult:
     """Flash-crowd hotspot: §4.4 traffic control vs the proxy tier."""
-    from ..parallel import require_ok, run_many
+    from ..parallel import run_many
 
     configs = [hotspot_config(scale=scale, **kw)
                for _name, kw in HOTSPOT_VARIANTS]
-    results = require_ok(run_many(configs, task=run_steady_state))
+    results = run_many(configs, run_steady_state)
 
     rows: List[List[object]] = []
     series: Dict[str, object] = {}

@@ -1,24 +1,19 @@
 """Parallel sweep execution (see :mod:`repro.parallel.executor`).
 
-One import surface::
+One function::
 
-    from repro.parallel import run_many, run_many_timeline, require_ok
+    from repro.parallel import run_many
 
-``run_many`` fans independent experiment configs across worker processes
-with input-order result assembly and per-task failure capture; set
-``REPRO_PARALLEL=0`` (or ``ExperimentConfig(parallel=False)``) to force
-serial execution with bit-identical results.
+    results = run_many(configs)                       # run_steady_state
+    series = run_many(configs, run_timeline, sample_interval_s=1.0)
+
+``run_many(configs, runner, **kwargs)`` returns
+``[runner(c, **kwargs) for c in configs]`` in input order, computed on a
+process pool when the sweep gets more than one worker.
+``REPRO_PARALLEL=<n>`` pins the worker count; ``0`` or ``1`` runs the
+sweep serially in-process, with bit-identical results.
 """
 
-from .executor import (PARALLEL_ENV, SweepError, TaskError, require_ok,
-                       resolve_mode, run_many, run_many_timeline)
+from .executor import run_many
 
-__all__ = [
-    "PARALLEL_ENV",
-    "SweepError",
-    "TaskError",
-    "require_ok",
-    "resolve_mode",
-    "run_many",
-    "run_many_timeline",
-]
+__all__ = ["run_many"]

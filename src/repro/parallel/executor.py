@@ -1,296 +1,71 @@
-"""Process-pool sweep execution with deterministic assembly.
+"""Input-ordered sweep map over a process pool.
 
-The figure experiments are embarrassingly parallel: a sweep is dozens of
+The figure experiments are embarrassingly parallel: a sweep is a list of
 independent ``ExperimentConfig``\\ s (strategies × cluster sizes × seeds)
-whose only shared state is read-only module code.  :func:`run_many` fans
-such a sweep across worker processes and reassembles results **in input
-order**, so callers see exactly what the historical list comprehension
-produced — the serial/parallel equivalence tests assert bit-identical
-:class:`~repro.experiments.runner.SteadyStateResult`\\ s.
-
-Design points:
+whose only shared state is read-only module code.  :func:`run_many` maps a
+runner over such a list and returns exactly what
+``[runner(c, **kwargs) for c in configs]`` returns:
 
 * **Determinism** — every simulation seeds its own RNG streams from its
-  config, so placement across workers cannot perturb results; assembly is
-  by submission index, never completion order.
-* **Isolation** — workers enable the per-process namespace-snapshot memo
-  (:func:`repro.experiments._build.enable_snapshot_memo`), so tasks sharing
-  ``(scale, seed)`` don't regenerate the same tree; each task still gets a
-  private deep copy.
-* **Failure capture** — a config that raises (or exceeds ``timeout_s``)
-  yields a :class:`TaskError` in its slot instead of killing the sweep; a
-  hard worker crash (pool breakage) falls back to in-process execution for
-  the unfinished tasks.
-* **Reproducible escape hatch** — ``REPRO_PARALLEL=0`` (or ``serial`` /
-  ``off``), or any config with ``parallel=False``, forces serial in-process
-  execution for CI and debugging; ``REPRO_PARALLEL=<n>`` pins the worker
-  count.
-
-A custom ``task`` callable that is not one of the canonical runners is
-always executed serially in-process: it may be a closure or a test double
-that cannot cross a process boundary, and unit tests rely on patching the
-runner by name.
+  config, and ``Executor.map`` yields results in input order, so the pool
+  cannot perturb results; the serial path is the oracle the tests compare
+  the pool against.
+* **Snapshot memo** — each task runs inside
+  :func:`repro.experiments._build.snapshot_memo`, serial or pooled, so
+  tasks that share ``(scale, seed)`` reuse one generated namespace tree
+  (each run still gets a private deep copy).
+* **Failures** — a failing config raises its own exception; from a worker
+  it carries the remote traceback as its ``__cause__``.  A hard worker
+  crash (``BrokenProcessPool``) reruns the whole sweep serially
+  in-process: results are deterministic, so the rerun only costs time.
+* **Worker count** — ``REPRO_PARALLEL=<n>`` pins ``n`` workers (``0`` or
+  ``1``: serial); unset uses one worker per CPU, at most one per config.
 """
 
 from __future__ import annotations
 
-import os
-import signal
-import traceback
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Union
-
 import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
+from typing import Callable, List, Sequence
 
-from ..experiments.config import ExperimentConfig, PARALLEL_ENV, \
-    parse_parallel_env
-from ..experiments.runner import (SteadyStateResult, TimelineResult,
-                                  run_steady_state, run_timeline)
+from ..experiments._build import snapshot_memo
+from ..experiments.config import ExperimentConfig, env_gates
+from ..experiments.runner import run_steady_state
 
-# PARALLEL_ENV is re-exported here for backward compatibility; the parsing
-# itself lives with the other env gates in repro.experiments.config
-# (env_gates / parse_parallel_env).
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
 
 
-class SweepError(RuntimeError):
-    """Raised by :func:`require_ok` when a sweep contains failed tasks."""
+def _workers(n_tasks: int) -> int:
+    """Worker processes for a sweep of ``n_tasks`` configs (<= 1: serial)."""
+    pinned = env_gates().parallel_workers
+    if pinned is None:
+        pinned = os.cpu_count() or 1
+    return min(n_tasks, pinned)
 
 
-@dataclass(frozen=True)
-class TaskError:
-    """Structured record of one failed sweep task.
+def _memoised(runner: Callable, config: ExperimentConfig, **kwargs):
+    with snapshot_memo():
+        return runner(config, **kwargs)
 
-    Occupies the failed config's slot in the result list so the sweep's
-    shape is preserved; ``kind`` distinguishes an in-task exception from a
-    worker-side timeout or a hard crash of the worker process itself.
+
+def run_many(configs: Sequence[ExperimentConfig],
+             runner: Callable = run_steady_state, **kwargs) -> List:
+    """``[runner(c, **kwargs) for c in configs]``, fanned across processes.
+
+    The pool pickles ``runner`` by name, so a stub or closure needs
+    ``REPRO_PARALLEL=0``.
     """
-
-    config: ExperimentConfig
-    kind: str                 # "exception" | "timeout" | "crash"
-    error_type: str
-    message: str
-    traceback: str = ""
-
-    def __str__(self) -> str:
-        return (f"[{self.kind}] {self.error_type}: {self.message} "
-                f"(strategy={self.config.strategy!r}, "
-                f"n_mds={self.config.n_mds}, seed={self.config.seed})")
-
-
-SweepResult = Union[SteadyStateResult, TimelineResult, TaskError]
-
-
-def require_ok(results: Sequence[SweepResult]) -> List:
-    """Return ``results`` unchanged, raising :class:`SweepError` on failures."""
-    errors = [r for r in results if isinstance(r, TaskError)]
-    if errors:
-        first = errors[0]
-        detail = f"\n--- first failure ---\n{first.traceback}" \
-            if first.traceback else ""
-        raise SweepError(
-            f"{len(errors)}/{len(results)} sweep task(s) failed; "
-            f"first: {first}{detail}")
-    return list(results)
-
-
-# ---------------------------------------------------------------------------
-# Mode resolution
-# ---------------------------------------------------------------------------
-def resolve_mode(configs: Sequence[ExperimentConfig],
-                 mode: Optional[str] = None,
-                 max_workers: Optional[int] = None) -> "tuple[bool, int]":
-    """Decide ``(parallel?, n_workers)`` for a sweep.
-
-    Precedence: explicit ``mode`` argument > any config with
-    ``parallel=False`` > ``REPRO_PARALLEL`` > auto (parallel iff the host
-    has more than one CPU and the sweep more than one task).
-    """
-    cpus = os.cpu_count() or 1
-    workers = max_workers or min(cpus, max(1, len(configs)))
-
-    if mode is not None:
-        token = mode.strip().lower()
-        if token == "serial":
-            return False, 1
-        if token == "parallel":
-            return True, workers
-        raise ValueError(f"mode must be 'serial' or 'parallel', got {mode!r}")
-
-    if any(cfg.parallel is False for cfg in configs):
-        return False, 1
-
-    decision, pinned = parse_parallel_env(os.environ.get(PARALLEL_ENV))
-    if decision is False:
-        return False, 1
-    if decision is True:
-        assert pinned is not None
-        return True, (max_workers or pinned)
-
-    if cpus <= 1 or len(configs) <= 1:
-        return False, 1
-    return True, workers
-
-
-# ---------------------------------------------------------------------------
-# Worker side
-# ---------------------------------------------------------------------------
-def _pool_init() -> None:
-    """Per-worker initialiser: turn on the namespace-snapshot memo."""
-    from ..experiments._build import enable_snapshot_memo
-
-    enable_snapshot_memo(True)
-
-
-class _TaskTimeout(BaseException):
-    """Internal alarm signal; BaseException so task code can't swallow it."""
-
-
-def _alarm_handler(_signum, _frame):  # pragma: no cover - signal context
-    raise _TaskTimeout()
-
-
-def _guarded(task: Callable, config: ExperimentConfig, kwargs: dict,
-             timeout_s: Optional[float]) -> SweepResult:
-    """Run one task, converting any failure into a :class:`TaskError`.
-
-    ``timeout_s`` is enforced with ``SIGALRM`` where available (Unix main
-    thread); elsewhere the task simply runs to completion.
-    """
-    use_alarm = timeout_s is not None and hasattr(signal, "setitimer")
-    old_handler = None
-    if use_alarm:
-        try:
-            old_handler = signal.signal(signal.SIGALRM, _alarm_handler)
-            signal.setitimer(signal.ITIMER_REAL, timeout_s)
-        except ValueError:  # not the main thread: no alarm enforcement
-            use_alarm = False
-            old_handler = None
-    try:
-        return task(config, **kwargs)
-    except _TaskTimeout:
-        return TaskError(config=config, kind="timeout",
-                         error_type="TimeoutError",
-                         message=f"task exceeded {timeout_s}s")
-    except Exception as exc:
-        return TaskError(config=config, kind="exception",
-                         error_type=type(exc).__name__, message=str(exc),
-                         traceback=traceback.format_exc())
-    finally:
-        if use_alarm:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            if old_handler is not None:
-                signal.signal(signal.SIGALRM, old_handler)
-
-
-def _steady_task(config: ExperimentConfig, kwargs: dict,
-                 timeout_s: Optional[float]) -> SweepResult:
-    return _guarded(run_steady_state, config, kwargs, timeout_s)
-
-
-def _timeline_task(config: ExperimentConfig, kwargs: dict,
-                   timeout_s: Optional[float]) -> SweepResult:
-    return _guarded(run_timeline, config, kwargs, timeout_s)
-
-
-# ---------------------------------------------------------------------------
-# Driver side
-# ---------------------------------------------------------------------------
-def _run_sweep(worker: Callable, task: Callable,
-               configs: Sequence[ExperimentConfig], kwargs: dict,
-               mode: Optional[str], max_workers: Optional[int],
-               timeout_s: Optional[float],
-               progress: Optional[Callable[[str], None]]) -> List[SweepResult]:
     configs = list(configs)
-    if not configs:
-        return []
-    parallel, workers = resolve_mode(configs, mode, max_workers)
-
-    if not parallel:
-        # The serial path gets the same snapshot memo the pool workers use:
-        # sweeps whose configs share (scale, seed) skip regenerating the
-        # namespace tree in either mode, and results stay bit-identical
-        # (each run receives a private deep copy of the pristine tree).
-        from ..experiments._build import snapshot_memo
-
-        results: List[SweepResult] = []
-        with snapshot_memo(True):
-            for i, cfg in enumerate(configs):
-                results.append(_guarded(task, cfg, kwargs, timeout_s))
-                if progress:
-                    progress(f"task {i + 1}/{len(configs)} done (serial)")
-        return results
-
-    slots: List[Optional[SweepResult]] = [None] * len(configs)
-    pending = dict()  # future -> index
-    try:
-        ctx = multiprocessing.get_context(
-            "fork" if "fork" in multiprocessing.get_all_start_methods()
-            else None)
-        with ProcessPoolExecutor(max_workers=workers, mp_context=ctx,
-                                 initializer=_pool_init) as pool:
-            for i, cfg in enumerate(configs):
-                pending[pool.submit(worker, cfg, kwargs, timeout_s)] = i
-            for future, i in pending.items():
-                try:
-                    slots[i] = future.result()
-                except BrokenExecutor:
-                    raise
-                except Exception as exc:  # unpicklable result etc.
-                    slots[i] = TaskError(
-                        config=configs[i], kind="crash",
-                        error_type=type(exc).__name__, message=str(exc),
-                        traceback=traceback.format_exc())
-                if progress:
-                    progress(f"task {i + 1}/{len(configs)} done "
-                             f"({workers} workers)")
-    except BrokenExecutor:
-        # A worker died hard (OOM kill, segfault).  Finish the unfinished
-        # tasks in-process so the sweep still returns one entry per config.
-        for i, slot in enumerate(slots):
-            if slot is None:
-                slots[i] = _guarded(task, configs[i], kwargs, timeout_s)
-                if progress:
-                    progress(f"task {i + 1}/{len(configs)} done "
-                             "(pool broke; in-process fallback)")
-    return slots  # type: ignore[return-value]
-
-
-def run_many(configs: Sequence[ExperimentConfig], *,
-             mode: Optional[str] = None,
-             max_workers: Optional[int] = None,
-             timeout_s: Optional[float] = None,
-             task: Optional[Callable[..., SteadyStateResult]] = None,
-             progress: Optional[Callable[[str], None]] = None,
-             ) -> List[SweepResult]:
-    """Run ``run_steady_state`` over every config, fanned across processes.
-
-    Returns one entry per config, in input order: a
-    :class:`SteadyStateResult` on success or a :class:`TaskError` on
-    failure.  Pass ``mode='serial'``/``'parallel'`` to override the
-    ``REPRO_PARALLEL``/auto decision (see :func:`resolve_mode`), and
-    ``timeout_s`` to bound each task's wall time.  A non-canonical ``task``
-    (a stub, a closure) runs serially in-process.
-    """
-    if task is None or task is run_steady_state:
-        return _run_sweep(_steady_task, run_steady_state, configs, {},
-                          mode, max_workers, timeout_s, progress)
-    return _run_sweep(_steady_task, task, configs, {}, "serial",
-                      max_workers, timeout_s, progress)
-
-
-def run_many_timeline(configs: Sequence[ExperimentConfig], *,
-                      sample_interval_s: float = 1.0,
-                      mode: Optional[str] = None,
-                      max_workers: Optional[int] = None,
-                      timeout_s: Optional[float] = None,
-                      task: Optional[Callable[..., TimelineResult]] = None,
-                      progress: Optional[Callable[[str], None]] = None,
-                      ) -> List[SweepResult]:
-    """Timeline variant of :func:`run_many` (one entry per config, in order)."""
-    kwargs = {"sample_interval_s": sample_interval_s}
-    if task is None or task is run_timeline:
-        return _run_sweep(_timeline_task, run_timeline, configs, kwargs,
-                          mode, max_workers, timeout_s, progress)
-    return _run_sweep(_timeline_task, task, configs, kwargs, "serial",
-                      max_workers, timeout_s, progress)
+    task = partial(_memoised, runner, **kwargs)
+    workers = _workers(len(configs))
+    if workers > 1:
+        try:
+            with ProcessPoolExecutor(workers, mp_context=_CONTEXT) as pool:
+                return list(pool.map(task, configs))
+        except BrokenProcessPool:
+            pass  # a worker died hard: rerun the sweep in-process
+    return [task(config) for config in configs]

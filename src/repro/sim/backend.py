@@ -16,9 +16,8 @@ Selection: the ``REPRO_BACKEND`` environment variable (one gate for
 this kernel and the model structures of :mod:`repro.model.backend`)
 accepts ``reference`` (the default) or ``compiled``.  ``compiled``
 degrades *silently* to the reference kernel when the extension is
-missing or fails to import (no C toolchain, unbuilt checkout) —
-mirroring the ``parallel_viable`` pattern — and every
-``Simulation.summary().kernel`` records ``kernel_backend`` /
+missing or fails to import (no C toolchain, unbuilt checkout), and
+every ``Simulation.summary().kernel`` records ``kernel_backend`` /
 ``compiled_viable`` so a silent fallback is still visible in the
 artifacts.  :func:`make_environment` takes an explicit ``kernel=`` gate,
 which is how tests and diagnostics select the kernel half alone.

@@ -39,8 +39,8 @@ class TestRunExperiment:
 
     def test_reports_per_op_percentiles(self):
         result = api.run_experiment(small_cfg())
-        assert result.latency_by_op  # op name -> LatencySummary
-        for op, summary in result.latency_by_op.items():
+        assert result.summary.latency_by_op  # op name -> LatencySummary
+        for op, summary in result.summary.latency_by_op.items():
             assert isinstance(op, str)
             assert summary.p50_s <= summary.p95_s <= summary.p99_s
 

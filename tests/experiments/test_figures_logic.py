@@ -37,7 +37,8 @@ def test_scaling_config_scales_with_cluster():
     assert small.cache_capacity_per_mds == large.cache_capacity_per_mds
 
 
-def test_fig2_aggregates_stubbed_results():
+def test_fig2_aggregates_stubbed_results(monkeypatch):
+    monkeypatch.setenv("REPRO_PARALLEL", "0")  # the stub cannot be pickled
     calls = []
 
     def stub(config):
@@ -59,7 +60,8 @@ def test_fig2_aggregates_stubbed_results():
         100.0 * SIZES_SMALL[0] + 5)
 
 
-def test_fig2_seed_averaging():
+def test_fig2_seed_averaging(monkeypatch):
+    monkeypatch.setenv("REPRO_PARALLEL", "0")  # the stub cannot be pickled
     values = iter([100.0, 300.0] * 1000)
 
     def stub(config):

@@ -78,12 +78,11 @@ def tiny_overload(**kw):
 
 class TestEndToEnd:
     def test_run_experiment_exposes_overload_accessors(self):
-        res = run_experiment(tiny_overload())
-        assert res.offered_ops > 0
-        assert res.dropped_ops >= 0
-        assert res.slo_violations >= 0
-        assert res.goodput_ops_per_s > 0
-        assert res.offered_ops == res.summary.offered_ops
+        summary = run_experiment(tiny_overload()).summary
+        assert summary.offered_ops > 0
+        assert summary.dropped_ops >= 0
+        assert summary.slo_violations >= 0
+        assert summary.goodput_ops_per_s > 0
 
     def test_run_steady_state_carries_overload_fields(self):
         res = run_steady_state(tiny_overload())

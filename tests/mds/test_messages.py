@@ -3,6 +3,7 @@ cluster-wide distribution-info memo behind it."""
 
 import pytest
 
+from repro._fastpath import fastpath_enabled
 from repro.mds import MdsRequest, OpType
 from repro.mds.messages import ANY_NODE, EMPTY_LOCATIONS, MdsReply
 from repro.namespace import path as p
@@ -32,6 +33,20 @@ def test_empty_locations_survive_real_replies():
     assert reply.locations[()] == ANY_NODE
 
 
+def assert_memo_hit(served, expected):
+    """The same hints always; the same mapping object only when the fast
+    lane's memo served them (with it off every walk builds a new dict)."""
+    assert served == expected
+    if fastpath_enabled():
+        assert served is expected
+
+
+def verify_memo(cluster):
+    """The memo's index invariants, when the fast lane built one."""
+    if cluster._dist_memo is not None:
+        cluster._dist_memo.verify_invariants()
+
+
 def test_distribution_info_memo_hits_and_invalidates():
     """With the fast lane on, identical reply hints come from one shared
     mapping; hot-set, partition, and structure changes invalidate it —
@@ -41,17 +56,19 @@ def test_distribution_info_memo_hits_and_invalidates():
     path = p.parse("/home/alice/src/main.c")
     first = node._distribution_info(path)
     second = node._distribution_info(path)
-    assert first is second  # memo hit: the same mapping object
+    assert_memo_hit(second, first)
 
     src_ino = ns.resolve(p.parse("/home/alice/src")).ino
-    cluster._dist_memo.invalidate_ino(src_ino)  # hot toggle on the walk
+    if cluster._dist_memo is not None:
+        cluster._dist_memo.invalidate_ino(src_ino)  # hot toggle on the walk
     third = node._distribution_info(path)
     assert third is not second
     assert third == second  # same content: nothing actually moved
 
     ns.mkdir(p.parse("/home/alice/newdir"), mode=0o755, owner=0, mtime=0.0)
     fourth = node._distribution_info(path)
-    assert fourth is third  # complete walk: a new dentry cannot change it
+    # complete walk: a new dentry cannot change it
+    assert_memo_hit(fourth, third)
 
     cluster.strategy._authority_changed()
     fifth = node._distribution_info(path)
@@ -61,7 +78,7 @@ def test_distribution_info_memo_hits_and_invalidates():
     sixth = node._distribution_info(path)
     assert sixth is not fifth  # namespace reported the structural change
     assert len(sixth) < len(fifth)  # the walk now ends early
-    cluster._dist_memo.verify_invariants()
+    verify_memo(cluster)
 
 
 def test_truncated_distribution_walk_revalidates_on_creation():
@@ -73,7 +90,7 @@ def test_truncated_distribution_walk_revalidates_on_creation():
     path = p.parse("/home/alice/newdir/readme")
     short = node._distribution_info(path)
     assert len(short) < len(path) + 1  # walk stopped early
-    assert short is node._distribution_info(path)  # memo hit while truncated
+    assert_memo_hit(node._distribution_info(path), short)  # while truncated
 
     ns.mkdir(p.parse("/home/alice/newdir"), mode=0o755, owner=0, mtime=0.0)
     extended = node._distribution_info(path)
@@ -99,6 +116,6 @@ def test_hot_set_mutations_invalidate_only_affected_walks():
     env.run(until=env.process(drop()))
     assert ino not in cluster.hot_inos
     assert node._distribution_info(p.parse("/usr/pkg0/bin0")) is not through
-    assert node._distribution_info(
-        p.parse("/home/alice/notes.txt")) is unrelated
-    cluster._dist_memo.verify_invariants()
+    assert_memo_hit(node._distribution_info(p.parse("/home/alice/notes.txt")),
+                    unrelated)
+    verify_memo(cluster)

@@ -58,7 +58,7 @@ class TestFullSampling:
         assert any(t.notes.get("cache.hit") for t in result.traces)
 
     def test_per_op_percentiles_reported(self, result):
-        by_op = result.latency_by_op
+        by_op = result.summary.latency_by_op
         assert "stat" in by_op and "open" in by_op
         for summary in by_op.values():
             assert summary.count > 0

@@ -1,22 +1,23 @@
-"""Tests for the parallel sweep executor (repro.parallel).
+"""Tests for the parallel sweep map (repro.parallel).
 
-The determinism contract — serial and parallel execution of the same
-sweep produce bit-identical results — is the hard requirement here; crash
-handling and mode resolution ride along.  Simulations are kept tiny
-(scale 0.15, n_mds=2) so the pool tests stay fast.
+The determinism contract — a pooled sweep returns bit-identical results
+to the serial in-process loop — is the hard requirement here; failures,
+pool breakage and worker resolution ride along.  Every test sets its own
+``REPRO_PARALLEL``, so the caller's environment cannot change what runs.
+Simulations are kept tiny (scale 0.15, n_mds=2) so the pool tests stay
+fast.
 """
 
 import dataclasses
-import os
 from unittest import mock
 
 import pytest
 
-from repro.experiments.config import ExperimentConfig
-from repro.experiments.runner import SteadyStateResult
-from repro.parallel import (PARALLEL_ENV, SweepError, TaskError, require_ok,
-                            resolve_mode, run_many, run_many_timeline)
+from repro.experiments.config import PARALLEL_ENV, ExperimentConfig
+from repro.experiments.runner import (SteadyStateResult, run_steady_state,
+                                      run_timeline)
 from repro.parallel import executor as executor_mod
+from repro.parallel import run_many
 
 
 def tiny(seed=42, **kw):
@@ -31,154 +32,88 @@ def broken(seed=42):
     return tiny(seed=seed, strategy="NoSuchStrategy")
 
 
+def serial(monkeypatch):
+    monkeypatch.setenv(PARALLEL_ENV, "0")
+
+
+def pooled(monkeypatch):
+    monkeypatch.setenv(PARALLEL_ENV, "2")
+
+
 # ---------------------------------------------------------------------------
-# Serial vs parallel equivalence
+# Serial vs pooled equivalence
 # ---------------------------------------------------------------------------
-def test_serial_and_parallel_results_identical_field_by_field():
+def test_serial_and_parallel_results_identical_field_by_field(monkeypatch):
     configs = [tiny(seed=42 + 7 * s) for s in range(3)]
-    serial = run_many(configs, mode="serial")
-    parallel = run_many(configs, mode="parallel", max_workers=2)
-    assert len(serial) == len(parallel) == 3
-    for s, p in zip(serial, parallel):
+    serial(monkeypatch)
+    serial_results = run_many(configs)
+    pooled(monkeypatch)
+    pooled_results = run_many(configs)
+    assert len(serial_results) == len(pooled_results) == 3
+    for s, p in zip(serial_results, pooled_results):
         assert isinstance(s, SteadyStateResult)
         assert isinstance(p, SteadyStateResult)
         for f in dataclasses.fields(SteadyStateResult):
             assert getattr(s, f.name) == getattr(p, f.name), f.name
 
 
-def test_timeline_serial_and_parallel_identical():
+def test_timeline_serial_and_parallel_identical(monkeypatch):
     configs = [tiny(seed=1), tiny(seed=2)]
-    serial = run_many_timeline(configs, sample_interval_s=0.5, mode="serial")
-    parallel = run_many_timeline(configs, sample_interval_s=0.5,
-                                 mode="parallel", max_workers=2)
-    assert serial == parallel
-    assert serial[0].throughput_series  # non-trivial run
+    serial(monkeypatch)
+    serial_runs = run_many(configs, run_timeline, sample_interval_s=0.5)
+    pooled(monkeypatch)
+    pooled_runs = run_many(configs, run_timeline, sample_interval_s=0.5)
+    assert serial_runs == pooled_runs
+    assert serial_runs[0].throughput_series  # non-trivial run
+    assert serial_runs[0].config.seed == 1
 
 
-def test_results_assembled_in_input_order():
-    configs = [tiny(seed=s) for s in (5, 3, 9)]
-    results = run_many(configs, mode="parallel", max_workers=2)
+def test_results_assembled_in_input_order(monkeypatch):
+    pooled(monkeypatch)
+    results = run_many([tiny(seed=s) for s in (5, 3, 9)])
     assert [r.config.seed for r in results] == [5, 3, 9]
 
 
-# ---------------------------------------------------------------------------
-# Failure capture
-# ---------------------------------------------------------------------------
-def test_worker_crash_surfaces_structured_error_without_hanging():
-    configs = [tiny(seed=1), broken(), tiny(seed=2)]
-    results = run_many(configs, mode="parallel", max_workers=2)
-    assert isinstance(results[0], SteadyStateResult)
-    assert isinstance(results[2], SteadyStateResult)
-    err = results[1]
-    assert isinstance(err, TaskError)
-    assert err.kind == "exception"
-    assert err.error_type == "ValueError"
-    assert "NoSuchStrategy" in err.traceback
-    assert err.config.strategy == "NoSuchStrategy"
+def test_sweep_results_match_plain_runner_calls(monkeypatch):
+    configs = [tiny(seed=11), tiny(seed=12)]
+    plain = [run_steady_state(c) for c in configs]
+    serial(monkeypatch)
+    assert run_many(configs) == plain
+    pooled(monkeypatch)
+    assert run_many(configs) == plain
 
 
-def test_serial_mode_captures_errors_identically():
-    results = run_many([broken()], mode="serial")
-    assert isinstance(results[0], TaskError)
-    assert results[0].error_type == "ValueError"
-
-
-def test_require_ok_raises_sweep_error_with_context():
-    results = run_many([tiny(seed=1), broken()], mode="serial")
-    with pytest.raises(SweepError, match="1/2.*ValueError"):
-        require_ok(results)
-
-
-def test_require_ok_passes_through_clean_results():
-    results = run_many([tiny(seed=1)], mode="serial")
-    assert require_ok(results) == results
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs SIGALRM/Unix")
-def test_per_task_timeout_returns_structured_error():
-    def slow_task(config):
-        import time
-        time.sleep(5.0)
-
-    results = run_many([tiny()], task=slow_task, timeout_s=0.2)
-    assert isinstance(results[0], TaskError)
-    assert results[0].kind == "timeout"
-
-
-def test_empty_sweep():
+def test_empty_sweep(monkeypatch):
+    pooled(monkeypatch)
     assert run_many([]) == []
 
 
 # ---------------------------------------------------------------------------
-# Mode resolution
+# Failures
 # ---------------------------------------------------------------------------
-def test_env_var_forces_serial(monkeypatch):
-    monkeypatch.setenv(PARALLEL_ENV, "0")
-    assert resolve_mode([tiny(), tiny(seed=2)]) == (False, 1)
-    monkeypatch.setenv(PARALLEL_ENV, "serial")
-    assert resolve_mode([tiny(), tiny(seed=2)]) == (False, 1)
+@pytest.mark.parametrize("workers", ["0", "2"])
+def test_failing_config_raises_its_own_error(monkeypatch, workers):
+    monkeypatch.setenv(PARALLEL_ENV, workers)
+    with pytest.raises(ValueError, match="NoSuchStrategy"):
+        run_many([tiny(seed=1), broken(), tiny(seed=2)])
 
 
-def test_env_var_pins_worker_count(monkeypatch):
-    monkeypatch.setenv(PARALLEL_ENV, "3")
-    parallel, workers = resolve_mode([tiny(seed=s) for s in range(4)])
-    assert parallel is True
-    assert workers == 3
+def test_serial_mode_captures_errors_identically(monkeypatch):
+    errors = []
+    for workers in ("0", "2"):
+        monkeypatch.setenv(PARALLEL_ENV, workers)
+        with pytest.raises(ValueError) as info:
+            run_many([tiny(seed=1), broken()])
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
 
 
-def test_env_var_garbage_rejected(monkeypatch):
-    monkeypatch.setenv(PARALLEL_ENV, "sideways")
-    with pytest.raises(ValueError, match="REPRO_PARALLEL"):
-        resolve_mode([tiny(), tiny(seed=2)])
-
-
-def test_config_level_switch_forces_serial(monkeypatch):
-    monkeypatch.delenv(PARALLEL_ENV, raising=False)
-    configs = [tiny(seed=1), tiny(seed=2, parallel=False)]
-    assert resolve_mode(configs) == (False, 1)
-
-
-def test_explicit_mode_overrides_everything(monkeypatch):
-    monkeypatch.setenv(PARALLEL_ENV, "0")
-    parallel, _ = resolve_mode([tiny(), tiny(seed=2)], mode="parallel")
-    assert parallel is True
-
-
-def test_single_task_runs_serial_by_default(monkeypatch):
-    monkeypatch.delenv(PARALLEL_ENV, raising=False)
-    assert resolve_mode([tiny()]) == (False, 1)
-
-
-def test_invalid_mode_rejected():
-    with pytest.raises(ValueError, match="serial.*parallel"):
-        resolve_mode([tiny()], mode="sideways")
-
-
-# ---------------------------------------------------------------------------
-# Custom tasks (test doubles) run serially in-process
-# ---------------------------------------------------------------------------
-def test_custom_task_runs_in_process_even_in_parallel_mode():
-    seen = []
-
-    def stub(config):
-        seen.append(config.seed)
-        return config.seed * 10
-
-    results = run_many([tiny(seed=1), tiny(seed=2)], task=stub,
-                       mode="parallel")
-    assert results == [10, 20]
-    assert seen == [1, 2]  # ran here, in submission order
-
-
-# ---------------------------------------------------------------------------
-# Pool breakage falls back to in-process execution
-# ---------------------------------------------------------------------------
-def test_broken_pool_falls_back_in_process():
-    calls = []
+def test_broken_pool_falls_back_in_process(monkeypatch):
+    used = []
 
     class ExplodingPool:
         def __init__(self, *a, **kw):
-            pass
+            used.append(a)
 
         def __enter__(self):
             return self
@@ -186,43 +121,63 @@ def test_broken_pool_falls_back_in_process():
         def __exit__(self, *exc):
             return False
 
-        def submit(self, *a, **kw):
+        def map(self, *a, **kw):
             from concurrent.futures.process import BrokenProcessPool
             raise BrokenProcessPool("worker died")
 
+    configs = [tiny(seed=1), tiny(seed=2)]
+    pooled(monkeypatch)
     with mock.patch.object(executor_mod, "ProcessPoolExecutor",
                            ExplodingPool):
-        results = run_many([tiny(seed=1), tiny(seed=2)], mode="parallel",
-                           progress=calls.append)
-    assert all(isinstance(r, SteadyStateResult) for r in results)
-    assert [r.config.seed for r in results] == [1, 2]
-    assert any("fallback" in msg for msg in calls)
+        results = run_many(configs)
+    assert used == [(2,)]
+    assert results == [run_steady_state(c) for c in configs]
 
 
 # ---------------------------------------------------------------------------
-# Snapshot memo: enabled in sweeps, bit-identical to regeneration
+# Worker resolution (REPRO_PARALLEL, parsed by env_gates)
+# ---------------------------------------------------------------------------
+def test_env_var_forces_serial(monkeypatch):
+    for value in ("0", "1"):
+        monkeypatch.setenv(PARALLEL_ENV, value)
+        assert executor_mod._workers(4) <= 1
+    with mock.patch.object(executor_mod, "ProcessPoolExecutor") as pool:
+        assert len(run_many([tiny(seed=1), tiny(seed=2)])) == 2
+    pool.assert_not_called()
+
+
+def test_env_var_pins_worker_count(monkeypatch):
+    monkeypatch.setenv(PARALLEL_ENV, "3")
+    monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 1)
+    assert executor_mod._workers(4) == 3
+    assert executor_mod._workers(2) == 2  # never more workers than configs
+
+
+def test_env_var_garbage_rejected(monkeypatch):
+    monkeypatch.setenv(PARALLEL_ENV, "sideways")
+    with pytest.raises(ValueError, match="REPRO_PARALLEL"):
+        run_many([tiny(), tiny(seed=2)])
+
+
+def test_single_task_runs_serial_by_default(monkeypatch):
+    monkeypatch.delenv(PARALLEL_ENV, raising=False)
+    monkeypatch.setattr(executor_mod.os, "cpu_count", lambda: 8)
+    assert executor_mod._workers(1) == 1
+
+
+# ---------------------------------------------------------------------------
+# Snapshot memo: every sweep task runs inside it; a hit equals regeneration
 # ---------------------------------------------------------------------------
 def test_snapshot_memo_matches_regeneration():
-    from repro.experiments._build import (enable_snapshot_memo,
-                                          snapshot_memo_enabled)
-    from repro.experiments.runner import run_steady_state
+    from repro.experiments import _build
 
     cfg = tiny(seed=4)
-    assert not snapshot_memo_enabled()
+    assert not _build._snapshot_memo_active
     fresh = run_steady_state(cfg)
-    enable_snapshot_memo(True)
-    try:
+    _build._SNAPSHOT_MEMO.clear()
+    with _build.snapshot_memo():
         memo_miss = run_steady_state(cfg)
+        assert len(_build._SNAPSHOT_MEMO) == 1
         memo_hit = run_steady_state(cfg)
-    finally:
-        enable_snapshot_memo(False)
+    assert not _build._snapshot_memo_active
     assert fresh == memo_miss == memo_hit
-
-
-def test_sweep_results_match_plain_runner_calls():
-    from repro.experiments.runner import run_steady_state
-
-    configs = [tiny(seed=11), tiny(seed=12)]
-    plain = [run_steady_state(c) for c in configs]
-    assert run_many(configs, mode="serial") == plain
-    assert run_many(configs, mode="parallel", max_workers=2) == plain

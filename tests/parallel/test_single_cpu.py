@@ -1,10 +1,15 @@
-"""Single-CPU hosts: auto mode stays serial.
+"""Worker resolution with ``REPRO_PARALLEL`` unset.
 
-On a 1-CPU box the process pool can only add overhead, so ``resolve_mode``
-must pick serial without being told.
+On a 1-CPU box the process pool can only add overhead, so the sweep must
+run serially without being told; with CPUs to spare it gets one worker
+per CPU, at most one per config.
 """
 
-from repro.parallel import PARALLEL_ENV, resolve_mode
+from unittest import mock
+
+import repro.parallel.executor as executor
+from repro.experiments.config import PARALLEL_ENV
+from repro.parallel import run_many
 
 
 def tiny(seed=1, **kw):
@@ -14,14 +19,15 @@ def tiny(seed=1, **kw):
 
 def test_auto_mode_stays_serial_on_one_cpu(monkeypatch):
     monkeypatch.delenv(PARALLEL_ENV, raising=False)
-    import repro.parallel.executor as executor
     monkeypatch.setattr(executor.os, "cpu_count", lambda: 1)
-    assert resolve_mode([tiny(seed=s) for s in range(4)]) == (False, 1)
+    assert executor._workers(4) == 1
+    with mock.patch.object(executor, "ProcessPoolExecutor") as pool:
+        assert len(run_many([tiny(seed=s) for s in range(2)])) == 2
+    pool.assert_not_called()
 
 
 def test_auto_mode_goes_parallel_with_cpus(monkeypatch):
     monkeypatch.delenv(PARALLEL_ENV, raising=False)
-    import repro.parallel.executor as executor
     monkeypatch.setattr(executor.os, "cpu_count", lambda: 8)
-    parallel, workers = resolve_mode([tiny(seed=s) for s in range(4)])
-    assert parallel is True and workers == 4
+    assert executor._workers(4) == 4
+    assert executor._workers(20) == 8

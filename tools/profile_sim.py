@@ -7,9 +7,8 @@ so changes to the kernel or the MDS serving path can be judged on data.
 
 Kernel micro-optimisations are judged on *stable* numbers, not one noisy
 run: ``--repeat N`` times the run N times (profiler off — cProfile skews
-per-call costs) and reports min and median wall time.  ``--parallel`` /
-``--serial`` instead drive a ``--seeds``-wide sweep through
-``repro.parallel.run_many`` in the chosen mode, timing the whole sweep.
+per-call costs) and reports min and median wall time.  (Serial-vs-pool
+sweep timing lives in ``benchmarks/test_parallel_sweep.py``.)
 
 ``--backend`` pins the backend (``REPRO_BACKEND``: event kernel and
 model structures) for the run; ``--backend both`` times one run on each
@@ -26,7 +25,6 @@ Usage:
     python tools/profile_sim.py [--scale 0.5] [--strategy DynamicSubtree]
     python tools/profile_sim.py --sort tottime --limit 40
     python tools/profile_sim.py --repeat 5
-    python tools/profile_sim.py --parallel --seeds 8 --repeat 3
     python tools/profile_sim.py --backend both --repeat 3
     python tools/profile_sim.py --breakdown
 """
@@ -42,15 +40,8 @@ import sys
 import time
 
 from repro.api import (BACKEND_ENV, build_simulation, compiled_viable,
-                       resolve_kernel, resolve_model, run_many, require_ok,
-                       run_steady_state, scaling_config)
-
-
-def _sweep_once(configs, mode):
-    t = time.perf_counter()
-    results = require_ok(run_many(configs, mode=mode))
-    wall = time.perf_counter() - t
-    return wall, sum(r.total_ops for r in results)
+                       resolve_kernel, resolve_model, run_steady_state,
+                       scaling_config)
 
 
 def _single_once(config):
@@ -155,14 +146,6 @@ def main(argv=None) -> int:
     parser.add_argument("--repeat", type=int, default=1, metavar="N",
                         help="time N runs (profiler off) and report "
                              "min/median wall time")
-    parser.add_argument("--seeds", type=int, default=4,
-                        help="sweep width for --parallel/--serial")
-    mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--parallel", action="store_true",
-                      help="time a --seeds-wide sweep via run_many "
-                           "(process pool)")
-    mode.add_argument("--serial", action="store_true",
-                      help="time the same sweep forced serial in-process")
     parser.add_argument("--breakdown", action="store_true",
                         help="profile one run and report time bucketed "
                              "by subsystem (kernel/model/observability) "
@@ -175,17 +158,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
-    if args.breakdown and (args.parallel or args.serial or args.repeat > 1
-                           or args.backend == "both"):
+    if args.breakdown and (args.repeat > 1 or args.backend == "both"):
         parser.error("--breakdown profiles a single run; drop "
-                     "--parallel/--serial/--repeat/--backend both")
+                     "--repeat/--backend both")
     if args.backend in ("compiled", "both") and not compiled_viable():
         parser.error("compiled kernel extension not built; run "
                      "`python tools/build_kernel.py` first")
     if args.backend == "both":
-        if args.parallel or args.serial:
-            parser.error("--backend both compares single runs; drop "
-                         "--parallel/--serial")
         cfg = scaling_config(args.strategy, args.n_mds, args.scale)
         prior_env = os.environ.get(BACKEND_ENV)
         try:
@@ -203,20 +182,6 @@ def main(argv=None) -> int:
           f"(compiled kernel {'built' if compiled_viable() else 'absent'})")
 
     config = scaling_config(args.strategy, args.n_mds, args.scale)
-
-    if args.parallel or args.serial:
-        sweep_mode = "parallel" if args.parallel else "serial"
-        configs = [scaling_config(args.strategy, args.n_mds, args.scale,
-                                  seed=42 + 7 * s)
-                   for s in range(args.seeds)]
-        walls = []
-        ops = 0
-        for i in range(args.repeat):
-            wall, ops = _sweep_once(configs, sweep_mode)
-            walls.append(wall)
-            print(f"  sweep run {i + 1}/{args.repeat}: {wall:.2f}s")
-        _report(walls, ops, f"{len(configs)}-config sweep ({sweep_mode})")
-        return 0
 
     if args.repeat > 1:
         walls = []
