@@ -119,13 +119,6 @@ class MetadataCache:
         nxt.lru_prev = entry  # type: ignore[union-attr]
         entry.in_lru = True
 
-    def _lru_touch(self, entry: CacheEntry) -> None:
-        """Move an in-list entry to the hot end (two pointer splices)."""
-        if entry.lru_next is self._tail:
-            return  # already hottest
-        self._lru_unlink(entry)
-        self._lru_append_hot(entry)
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -139,7 +132,16 @@ class MetadataCache:
         """Entry for ``ino``, refreshing its recency unless ``touch=False``."""
         entry = self._entries.get(ino)
         if entry is not None and touch and entry.in_lru:
-            self._lru_touch(entry)
+            tail = self._tail
+            if entry.lru_next is not tail:  # move to the hot end
+                prev, nxt = entry.lru_prev, entry.lru_next
+                prev.lru_next = nxt  # type: ignore[union-attr]
+                nxt.lru_prev = prev  # type: ignore[union-attr]
+                prev = tail.lru_prev
+                entry.lru_prev = prev
+                entry.lru_next = tail
+                prev.lru_next = entry  # type: ignore[union-attr]
+                tail.lru_prev = entry
         return entry
 
     def entries(self) -> Iterator[CacheEntry]:
@@ -188,34 +190,55 @@ class MetadataCache:
         authoritative (an MDS can become the authority for metadata it
         already replicates, never the other way around implicitly).
         """
-        existing = self._entries.get(ino)
+        entries = self._entries
+        existing = entries.get(ino)
         if existing is not None:
             if not replica:
                 existing.replica = False
             if existing.in_lru and not prefetched:
-                self._lru_touch(existing)
+                self._make_evictable(existing, cold=False)  # to the hot end
             return []
 
         if parent_ino is not None:
-            parent = self._entries.get(parent_ino)
+            parent = entries.get(parent_ino)
             if parent is None:
                 raise KeyError(
                     f"cannot cache ino {ino}: parent {parent_ino} not cached"
                     " (hierarchical constraint)")
-            self._pin_internal(parent)
+            # the child pins its parent: a pinned entry leaves the list
+            parent.pin_count += 1
+            if parent.in_lru:
+                prev, nxt = parent.lru_prev, parent.lru_next
+                prev.lru_next = nxt  # type: ignore[union-attr]
+                nxt.lru_prev = prev  # type: ignore[union-attr]
+                parent.lru_prev = parent.lru_next = None
+                parent.in_lru = False
 
-        entry = CacheEntry(ino=ino, parent_ino=parent_ino, is_dir=is_dir,
-                           replica=replica)
-        self._entries[ino] = entry
+        entry = CacheEntry(ino, parent_ino, is_dir, replica)
+        entries[ino] = entry
+        entry.in_lru = True
+        counters = self.counters
         if prefetched:
             # Cold-end insertion: first in line for eviction (§4.5).
-            self._lru_append_cold(entry)
-            self.counters.prefetch_insertions += 1
+            head = self._head
+            nxt = head.lru_next
+            entry.lru_prev = head
+            entry.lru_next = nxt
+            head.lru_next = entry
+            nxt.lru_prev = entry  # type: ignore[union-attr]
+            counters.prefetch_insertions += 1
         else:
-            self._lru_append_hot(entry)
-        self.counters.insertions += 1
+            tail = self._tail
+            prev = tail.lru_prev
+            entry.lru_prev = prev
+            entry.lru_next = tail
+            prev.lru_next = entry  # type: ignore[union-attr]
+            tail.lru_prev = entry
+        counters.insertions += 1
 
-        return self._shrink(exclude=ino)
+        if len(entries) > self.capacity:
+            return self._shrink(exclude=ino)
+        return []
 
     def pin(self, ino: int) -> None:
         """Add an external pin (delegation anchor / in-flight op)."""
@@ -284,11 +307,6 @@ class MetadataCache:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _pin_internal(self, parent: CacheEntry) -> None:
-        parent.pin_count += 1
-        if parent.in_lru:
-            self._lru_unlink(parent)
-
     def _unpin_parent(self, child: CacheEntry) -> None:
         if child.parent_ino is None:
             return
@@ -310,27 +328,44 @@ class MetadataCache:
             self._lru_append_hot(entry)
 
     def _shrink(self, exclude: Optional[int] = None) -> List[CacheEntry]:
-        """Evict until within capacity (or nothing evictable remains)."""
+        """Evict until within capacity (or nothing evictable remains).
+
+        Victims come off the cold end, skipping ``exclude``; a parent left
+        with no cached children re-enters the list at the cold end, so
+        chains drain bottom-up.
+        """
         evicted: List[CacheEntry] = []
-        while len(self._entries) > self.capacity:
-            victim = self._evict_one(exclude=exclude)
-            if victim is None:
+        entries = self._entries
+        capacity = self.capacity
+        head, tail = self._head, self._tail
+        counters = self.counters
+        while len(entries) > capacity:
+            victim = head.lru_next
+            while victim is not tail and victim.ino == exclude:  # type: ignore[union-attr]
+                victim = victim.lru_next  # type: ignore[union-attr]
+            if victim is tail:
                 break  # everything pinned: tolerate overflow
+            assert victim is not None
+            del entries[victim.ino]
+            prev, nxt = victim.lru_prev, victim.lru_next
+            prev.lru_next = nxt  # type: ignore[union-attr]
+            nxt.lru_prev = prev  # type: ignore[union-attr]
+            victim.lru_prev = victim.lru_next = None
+            victim.in_lru = False
+            parent = entries.get(victim.parent_ino)  # type: ignore[arg-type]
+            if parent is not None:
+                parent.pin_count -= 1
+                if parent.pin_count <= 0 and parent.external_pins <= 0:
+                    # it was pinned, so it is off the list: re-enter cold
+                    nxt = head.lru_next
+                    parent.lru_prev = head
+                    parent.lru_next = nxt
+                    head.lru_next = parent
+                    nxt.lru_prev = parent  # type: ignore[union-attr]
+                    parent.in_lru = True
+            counters.evictions += 1
             evicted.append(victim)
         return evicted
-
-    def _evict_one(self, exclude: Optional[int] = None) -> Optional[CacheEntry]:
-        victim = self._head.lru_next
-        while victim is not self._tail:
-            if victim.ino != exclude:  # type: ignore[union-attr]
-                assert victim is not None
-                del self._entries[victim.ino]
-                self._lru_unlink(victim)
-                self._unpin_parent(victim)
-                self.counters.evictions += 1
-                return victim
-            victim = victim.lru_next  # type: ignore[union-attr]
-        return None
 
     # ------------------------------------------------------------------
     # invariants (for property-based tests)

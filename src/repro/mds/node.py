@@ -28,7 +28,7 @@ from ..model.backend import make_metadata_cache, make_popularity_map
 from ..namespace import FsError, Inode, ROOT_INO
 from ..namespace import path as pathmod
 from ..sim import Environment, Event, Resource, Store
-from ..storage import DiskDevice, Journal
+from ..storage import DiskDevice, Journal, container_ino
 from .config import SimParams
 from .messages import (ANY_NODE, EMPTY_LOCATIONS, MdsReply, MdsRequest,
                        OpType)
@@ -82,7 +82,6 @@ class MdsNode:
     # ------------------------------------------------------------------
     def _bootstrap_root(self) -> None:
         """Every node caches (and pins) the root — all clients know it."""
-        ns = self.cluster.ns
         is_auth = self.cluster.strategy.authority_of_ino(ROOT_INO) == self.node_id
         self.cache.insert(ROOT_INO, None, True, replica=not is_auth)
         self.cache.pin(ROOT_INO)
@@ -292,20 +291,9 @@ class MdsNode:
     # ------------------------------------------------------------------
     # cache management
     # ------------------------------------------------------------------
-    def _ensure_cached(self, inode: Inode,
-                       trace=None) -> Generator[Event, Any, None]:
-        """Make sure ``inode`` is in the local cache, fetching if needed."""
-        entry = self.cache.get(inode.ino)
-        if entry is not None:
-            self.stats.record_hit()
-            if trace is not None:
-                trace.bump("cache.hit")
-            return
-        yield from self._fetch_missing(inode, trace=trace)
-
     def _fetch_missing(self, inode: Inode,
                        trace=None) -> Generator[Event, Any, None]:
-        """Cache-miss path of :meth:`_ensure_cached` (caller checked)."""
+        """Cache-miss path of :meth:`_handle` (caller checked)."""
         self.stats.record_miss()
         if trace is not None:
             trace.bump("cache.miss")
@@ -322,37 +310,58 @@ class MdsNode:
 
     def _fetch_from_disk(self, inode: Inode,
                          trace=None) -> Generator[Event, Any, None]:
-        """Load locally-owned metadata from the shared object store."""
-        ns = self.cluster.ns
-        layout = self.cluster.strategy.layout
+        """Load locally-owned metadata from the shared object store.
+
+        Under a directory-grain layout the read returns the whole directory
+        object (§4.5); the siblings this node is authoritative for enter the
+        cache behind the inode, with one authority decision per directory.
+        """
+        cluster = self.cluster
+        ns = cluster.ns
+        strategy = cluster.strategy
+        dir_ino = container_ino(inode)  # what the layout reads
         t0 = self.env.now
-        siblings = yield from layout.fetch(self.cluster.object_store, ns,
-                                           inode)
+        siblings = yield from strategy.layout.fetch(cluster.object_store, ns,
+                                                    inode)
         if trace is not None:
             trace.add("osd.read", t0, self.env.now, node=self.node_id,
                       detail=f"ino={inode.ino}")
         self._insert(inode, replica=False)
-        if inode.ino not in self.cache:  # pragma: no cover - all-pinned edge
+        cache = self.cache
+        if inode.ino not in cache:  # pragma: no cover - all-pinned edge
             return
         # hold the entry we actually came for: under pressure the sibling
         # prefetch below could otherwise evict it before it is ever used
-        self.cache.pin(inode.ino)
+        cache.pin(inode.ino)
         try:
-            for sibling_ino in siblings:
-                if sibling_ino in self.cache or sibling_ino not in ns:
-                    continue
-                sibling = ns.inode(sibling_ino)
+            if siblings:
                 # Only prefetch what this node is authoritative for — under
                 # directory hashing the whole directory is; under subtree
                 # partitioning nested delegations may carve children out.
-                if self.cluster.strategy.authority_of_ino(sibling_ino) \
-                        != self.node_id:
-                    continue
-                self._insert(sibling, replica=False,
-                             prefetched=self.params.prefetch_cold_insert)
-                self.stats.prefetches += 1
+                # Nothing below yields, so the entries stay live throughout.
+                owned = strategy.owned_entries(dir_ino, siblings,
+                                               self.node_id)
+                inode_of = ns.inode
+                insert = cache.insert
+                traverse = strategy.needs_path_traversal
+                prefetched = self.params.prefetch_cold_insert
+                stats = self.stats
+                for sibling_ino in owned:
+                    if sibling_ino in cache:
+                        continue
+                    sibling = inode_of(sibling_ino)
+                    parent = sibling.parent_ino
+                    evicted = insert(
+                        sibling_ino,
+                        parent if traverse and parent in cache else None,
+                        sibling.is_dir, prefetched=prefetched)
+                    if evicted:
+                        self._notify_evictions(evicted)
+                    stats.prefetches += 1
         finally:
-            self._notify_evictions(self.cache.unpin(inode.ino))
+            evicted = cache.unpin(inode.ino)
+            if evicted:
+                self._notify_evictions(evicted)
 
     def _fetch_from_peer(self, inode: Inode, authority: int,
                          trace=None) -> Generator[Event, Any, None]:
@@ -396,7 +405,8 @@ class MdsNode:
             parent = inode.parent_ino
         evicted = self.cache.insert(inode.ino, parent, inode.is_dir,
                                     replica=replica, prefetched=prefetched)
-        self._notify_evictions(evicted)
+        if evicted:
+            self._notify_evictions(evicted)
 
     def _notify_evictions(self, evicted) -> None:
         """Tell authorities we dropped their replicas (free, piggybacked)."""

@@ -14,7 +14,7 @@ a global inode table.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, KeysView, List, Optional, Set, Tuple
 
 from . import path as pathmod
 from .anchor import AnchorTable
@@ -80,6 +80,16 @@ class Namespace:
             return self._inodes[ino]
         except KeyError:
             raise FileNotFound(f"no inode {ino}") from None
+
+    @property
+    def multiply_linked(self) -> KeysView[int]:
+        """Live view of the inos that a non-primary dentry also names.
+
+        A directory entry whose inode is embedded elsewhere (a hard link)
+        always names one of these, so a walk over one directory's entries
+        can trust ``parent_ino == directory`` for every other entry.
+        """
+        return self._extra_links.keys()
 
     def count_dirs(self) -> int:
         return sum(1 for i in self._inodes.values() if i.is_dir)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import abc
 import zlib
-from typing import ClassVar, Dict, Optional
+from typing import ClassVar, Dict, List, Optional
 
 from .._fastpath import fastpath_enabled
 from ..namespace import Namespace
@@ -114,6 +114,20 @@ class Strategy(abc.ABC):
     @abc.abstractmethod
     def _authority_of_ino(self, ino: int) -> int:
         """Compute the authoritative MDS for ``ino`` (uncached)."""
+
+    def owned_entries(self, dir_ino: int, inos: List[int],
+                      node_id: int) -> List[int]:
+        """The entries ``inos`` of directory ``dir_ino`` that ``node_id``
+        is authoritative for, in order.
+
+        This prices a directory-grain prefetch (§4.5): one call per fetched
+        directory object.  The contract is exactly
+        ``[i for i in inos if authority_of_ino(i) == node_id]``;
+        strategies whose authority is shared by a directory's entries
+        override it to decide once per directory.
+        """
+        authority_of_ino = self.authority_of_ino
+        return [ino for ino in inos if authority_of_ino(ino) == node_id]
 
     def authority_of_path(self, path: Path) -> int:
         """Authority for the inode currently at ``path``."""

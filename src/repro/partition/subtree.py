@@ -69,6 +69,42 @@ class SubtreePartition(Strategy):
                 raise RuntimeError("no delegation for root")
             node = self.ns.inode(node.parent_ino)
 
+    def owned_entries(self, dir_ino: int, inos: List[int],
+                      node_id: int) -> List[int]:
+        """One walk for the directory, one delegation probe per entry.
+
+        An entry embedded in ``dir_ino`` belongs to its own delegation if
+        it heads one and to the directory's authority otherwise.  Entries
+        that some other dentry also names may be embedded elsewhere (hard
+        links) and take the full per-inode lookup.
+        """
+        assert self.ns is not None
+        authority_of_ino = self.authority_of_ino
+        dir_auth = authority_of_ino(dir_ino)
+        delegations = self.delegations
+        linked = self.ns.multiply_linked
+        if dir_ino not in self.fragmented:
+            return [ino for ino in inos
+                    if (authority_of_ino(ino) if ino in linked
+                        else delegations.get(ino, dir_auth)) == node_id]
+        # Fragmented: files hash by name (§4.3).  One pass over the
+        # directory names every entry, where a per-file name lookup would
+        # scan the (typically giant) directory once per entry.
+        names = {ino: name for name, ino
+                 in self.ns.inode(dir_ino).children.items()}  # type: ignore[union-attr]
+        inode = self.ns.inode
+        owned = []
+        for ino in inos:
+            if ino in linked:
+                mds = authority_of_ino(ino)
+            elif inode(ino).is_dir:
+                mds = delegations.get(ino, dir_auth)
+            else:
+                mds = stable_hash((names[ino],), salt=dir_ino) % self.n_mds
+            if mds == node_id:
+                owned.append(ino)
+        return owned
+
     def authority_of_new(self, path: Path, parent_ino: int) -> int:
         if parent_ino in self.fragmented:
             # New entries in a fragmented directory hash by name (§4.3).

@@ -10,7 +10,8 @@ modelled, since no figure depends on them.
 
 from .disk import DiskDevice, DiskStats
 from .journal import Journal, JournalStats
-from .layout import DirectoryGrainLayout, InodeGrainLayout, Layout
+from .layout import (DirectoryGrainLayout, InodeGrainLayout, Layout,
+                     container_ino)
 from .objectstore import ObjectStore, ObjectStoreStats
 
 __all__ = [
@@ -23,4 +24,5 @@ __all__ = [
     "Layout",
     "ObjectStore",
     "ObjectStoreStats",
+    "container_ino",
 ]

@@ -19,6 +19,15 @@ from ..sim import Event
 from .objectstore import ObjectStore
 
 
+def container_ino(inode: Inode) -> int:
+    """The directory object that embeds ``inode`` (§4.5).
+
+    A directory is stored with its own entries; a file lives in its
+    primary parent's object.
+    """
+    return inode.ino if inode.is_dir else inode.parent_ino
+
+
 class Layout:
     """Interface: fetch the object(s) needed to load ``inode`` into cache."""
 
@@ -55,11 +64,9 @@ class DirectoryGrainLayout(Layout):
 
     def fetch(self, store: ObjectStore, ns: Namespace,
               inode: Inode) -> Generator[Event, Any, List[int]]:
-        # A directory inode is embedded in its parent's object; a file in its
-        # own directory's object.  Either way one directory object is read.
-        container_ino = inode.parent_ino if not inode.is_dir else inode.ino
-        yield from store.read_dir_object(container_ino)
-        container = ns.inode(container_ino)
+        dir_ino = container_ino(inode)
+        yield from store.read_dir_object(dir_ino)
+        container = ns.inode(dir_ino)
         if container.is_dir and container.children:
             return [child for child in container.children.values()
                     if child != inode.ino]
@@ -67,8 +74,7 @@ class DirectoryGrainLayout(Layout):
 
     def writeback(self, store: ObjectStore, ns: Namespace,
                   inode: Inode) -> Generator[Event, Any, None]:
-        container_ino = inode.parent_ino if not inode.is_dir else inode.ino
-        yield from store.write_dir_object(container_ino)
+        yield from store.write_dir_object(container_ino(inode))
 
     def writeback_batch(self, store: ObjectStore, ns: Namespace,
                         inodes: List[Inode]) -> Generator[Event, Any, int]:
@@ -76,7 +82,7 @@ class DirectoryGrainLayout(Layout):
         containers = []
         seen = set()
         for inode in inodes:
-            container = inode.parent_ino if not inode.is_dir else inode.ino
+            container = container_ino(inode)
             if container not in seen:
                 seen.add(container)
                 containers.append(container)
