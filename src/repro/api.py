@@ -50,11 +50,7 @@ from .metrics import LatencyHistogram, LatencySummary
 from .obs import (JsonlSink, RingBufferSink, Span, Trace, Tracer,
                   export_jsonl, read_jsonl)
 from .parallel import run_many
-from .model.backend import compiled_model_viable, model_info, resolve_model
 from .proxy import ProxySpec, ProxyTier
-from .sim.backend import (BACKEND_ENV, backend_of, compiled_viable,
-                          kernel_info, make_environment, parse_backend_env,
-                          resolve_kernel)
 
 
 @dataclass
@@ -103,17 +99,6 @@ __all__ = [
     "env_gates",
     "env_scale",
     "parse_parallel_env",
-    # backend selection (REPRO_BACKEND: kernel and model)
-    "BACKEND_ENV",
-    "parse_backend_env",
-    "backend_of",
-    "compiled_viable",
-    "kernel_info",
-    "make_environment",
-    "resolve_kernel",
-    "compiled_model_viable",
-    "model_info",
-    "resolve_model",
     # one-call running
     "RunResult",
     "run_experiment",

@@ -16,7 +16,6 @@ from ..clients import (Client, FlashCrowdSpec, FlashCrowdWorkload,
                        ScientificWorkload, ShiftSpec, ShiftingWorkload,
                        make_arrivals)
 from ..mds import MdsCluster
-from ..model.backend import resolve_model, set_model_gate
 from ..namespace import Namespace, SnapshotSpec, SnapshotStats, \
     generate_snapshot
 from ..namespace import path as pathmod
@@ -24,8 +23,7 @@ from ..obs import RingBufferSink, Trace, Tracer
 from ..partition import make_strategy
 from ..proxy import ProxyTier
 from ..sim import Environment, RngStreams
-from ..sim.backend import make_environment
-from .config import ExperimentConfig, env_gates
+from .config import ExperimentConfig
 from .workload import (WORKLOAD_ARGS, ClosedLoopSpec, OpenLoopSpec,
                        WorkloadSpec)
 
@@ -48,9 +46,6 @@ class Simulation:
     tracer: Optional[Tracer] = None
     #: the adaptive proxy tier fronting the cluster, when configured
     proxy: Optional[ProxyTier] = None
-    #: model backend this simulation was built on (provenance; the
-    #: backends are behaviour-identical by contract)
-    model_backend: str = "reference"
 
     def run_to(self, t: float) -> None:
         self.env.run(until=t)
@@ -139,13 +134,7 @@ def _make_snapshot(config: ExperimentConfig,
 
 def build_simulation(config: ExperimentConfig) -> Simulation:
     """Construct namespace, cluster, clients and tracer per the config."""
-    backend = env_gates(config).backend
-    env = make_environment(kernel=backend)
-    # Record the resolved gate process-wide so model structures built
-    # later in the run (failover cache resets, proxy tiers) follow the
-    # same backend as the ones built here.
-    set_model_gate(backend)
-    model_backend = resolve_model(backend)
+    env = Environment()
     streams = RngStreams(config.seed)
 
     ns, snapshot = _make_snapshot(config, streams)
@@ -186,8 +175,7 @@ def build_simulation(config: ExperimentConfig) -> Simulation:
 
     return Simulation(config=config, env=env, streams=streams, ns=ns,
                       snapshot=snapshot, cluster=cluster, clients=clients,
-                      workload=workload, tracer=tracer, proxy=proxy,
-                      model_backend=model_backend)
+                      workload=workload, tracer=tracer, proxy=proxy)
 
 
 def _size_cache(config: ExperimentConfig, total_metadata: int):

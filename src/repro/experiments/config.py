@@ -21,7 +21,6 @@ from typing import Optional
 
 from ..mds import SimParams
 from ..proxy import ProxySpec
-from ..sim.backend import BACKEND_ENV, REFERENCE, parse_backend_env
 from .workload import ClosedLoopSpec, OpenLoopSpec, WorkloadSpec
 
 #: Experiment scale factor: multiplies namespace, population and duration.
@@ -63,14 +62,11 @@ class EnvGates:
     """Resolved values of the runtime environment gates.
 
     ``parallel_workers`` is the pinned sweep worker count, or ``None``
-    when ``REPRO_PARALLEL`` is unset.  ``backend`` is
-    ``"reference"`` or ``"compiled"`` (the latter still falls back
-    silently when an extension is not built).
+    when ``REPRO_PARALLEL`` is unset.
     """
 
     parallel_workers: Optional[int]
     scale: float
-    backend: str
 
 
 def env_gates(config: "Optional[ExperimentConfig]" = None, *,
@@ -85,18 +81,10 @@ def env_gates(config: "Optional[ExperimentConfig]" = None, *,
     * ``scale`` — ``config.scale`` when a config is given (the field is
       always explicit on a config), else ``REPRO_SCALE``, else
       ``default_scale``.
-    * ``backend`` — no config field exists (the backends are
-      bit-identical, never a per-experiment knob): ``REPRO_BACKEND``
-      (:func:`repro.sim.backend.parse_backend_env`), else ``reference``.
-      It selects both the kernel and the model structures; ``compiled``
-      degrades silently per extension when that extension is unavailable
-      (:func:`repro.sim.backend.resolve_kernel`,
-      :func:`repro.model.backend.resolve_model`).
     """
     workers = parse_parallel_env(os.environ.get(PARALLEL_ENV))
     scale = config.scale if config is not None else env_scale(default_scale)
-    backend = parse_backend_env(os.environ.get(BACKEND_ENV)) or REFERENCE
-    return EnvGates(parallel_workers=workers, scale=scale, backend=backend)
+    return EnvGates(parallel_workers=workers, scale=scale)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from ..metrics import (EMPTY_SUMMARY, LatencyHistogram, LatencySummary,
                        format_table)
-from ..model.backend import model_info
-from ..sim.backend import kernel_info
 
 if TYPE_CHECKING:  # pragma: no cover
     from ._build import Simulation
@@ -45,10 +43,11 @@ class ClusterSummary:
     latency_by_op: Dict[str, LatencySummary]  # op name -> digest
     total_metadata: int
     #: event-kernel counters (events scheduled, fast-lane resumes, pool
-    #: reuse) from :meth:`Environment.kernel_stats`.  Excluded from repr
-    #: and comparison: they describe how the run was *executed*, not what
-    #: it computed, and must not break the fast-lane equivalence contract
-    #: (identical summary reprs in both modes).
+    #: reuse) from :meth:`Environment.kernel_stats`, plus the
+    #: :data:`_PROVENANCE` keys.  Excluded from repr and comparison: they
+    #: describe how the run was *executed*, not what it computed, and must
+    #: not break the fast-lane equivalence contract (identical summary
+    #: reprs in both modes).
     kernel: Optional[Dict[str, float]] = field(default=None, repr=False,
                                                compare=False)
     #: overload accounting (open-loop generators / bounded inboxes).  All
@@ -121,6 +120,12 @@ class ClusterSummary:
         return text
 
 
+#: provenance keys every ``ClusterSummary.kernel`` carries next to the
+#: kernel counters; benchmark reports read them.  The simulator has one
+#: implementation, so both name it.
+_PROVENANCE = {"kernel_backend": "reference", "model_backend": "reference"}
+
+
 def summarize_simulation(sim: "Simulation",
                          window: Optional[Tuple[float, float]] = None
                          ) -> ClusterSummary:
@@ -186,8 +191,7 @@ def summarize_simulation(sim: "Simulation",
         latency=overall,
         latency_by_op=by_op,
         total_metadata=sim.total_metadata,
-        kernel={**sim.env.kernel_stats(), **kernel_info(sim.env),
-                **model_info(sim.model_backend)},
+        kernel={**sim.env.kernel_stats(), **_PROVENANCE},
         offered_ops=offered,
         dropped_ops=dropped,
         slo_violations=slo_viol,

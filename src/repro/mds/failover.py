@@ -25,9 +25,11 @@ from __future__ import annotations
 
 from typing import Any, Generator, List, Optional, TYPE_CHECKING
 
+from ..cache import MetadataCache
 from ..namespace import ROOT_INO
 from ..partition import DynamicSubtreePartition
 from ..sim import Event
+from .popularity import PopularityMap
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import MdsCluster
@@ -91,11 +93,9 @@ def fail_node(cluster: "MdsCluster", node_id: int,
 
 def _drop_volatile_state(node: "MdsNode") -> None:
     # unpin the root so the cache can drain completely, then rebuild empty
-    from ..model.backend import make_metadata_cache, make_popularity_map
-
-    node.cache = make_metadata_cache(node.params.cache_capacity)
+    node.cache = MetadataCache(node.params.cache_capacity)
     node.replicas.drop_all()
-    node.popularity = make_popularity_map(node.params.popularity_halflife_s)
+    node.popularity = PopularityMap(node.params.popularity_halflife_s)
     # open handles die with the node; orphans it retained are reclaimed
     # (the crash-recovery cleanup a real MDS would run from its journal)
     ns = node.cluster.ns

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Generator, List, Optional
 
-from ..cache import ReplicaRegistry
-from ..model.backend import make_metadata_cache, make_popularity_map
+from ..cache import MetadataCache, ReplicaRegistry
 from ..namespace import FsError, Inode, ROOT_INO
 from ..namespace import path as pathmod
 from ..sim import Environment, Event, Resource, Store
@@ -32,6 +31,7 @@ from ..storage import DiskDevice, Journal, container_ino
 from .config import SimParams
 from .messages import (ANY_NODE, EMPTY_LOCATIONS, MdsReply, MdsRequest,
                        OpType)
+from .popularity import PopularityMap
 from .stats import NodeStats
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,7 +49,7 @@ class MdsNode:
         self.params = params
         self.inbox: Store = Store(env)
         self.cpu = Resource(env, capacity=1)
-        self.cache = make_metadata_cache(params.cache_capacity)
+        self.cache = MetadataCache(params.cache_capacity)
         journal_dev = DiskDevice(env, read_s=params.journal_write_s,
                                  write_s=params.journal_write_s,
                                  name=f"journal{node_id}")
@@ -57,7 +57,7 @@ class MdsNode:
                                capacity=params.journal_capacity)
         #: replicas of *my* metadata held by peers
         self.replicas = ReplicaRegistry()
-        self.popularity = make_popularity_map(params.popularity_halflife_s)
+        self.popularity = PopularityMap(params.popularity_halflife_s)
         self.stats = NodeStats(bucket_width_s=params.stats_bucket_s)
         self.failed = False  # set by mds.failover; a dead node serves nothing
         #: requests outstanding at this node (in flight + queued + in

@@ -268,15 +268,9 @@ class Namespace:
 
     def enable_resolution_memo(self,
                                capacity: int = 65536) -> ResolutionMemo:
-        """Attach (or return the existing) path-resolution memo.
-
-        Constructed through the model-backend factory, so under
-        ``REPRO_BACKEND=compiled`` this is the C implementation (identical
-        behaviour, identical counters).
-        """
+        """Attach (or return the existing) path-resolution memo."""
         if self._memo is None:
-            from ..model.backend import make_resolution_memo
-            self._memo = make_resolution_memo(capacity)
+            self._memo = ResolutionMemo(capacity)
         return self._memo
 
     def disable_resolution_memo(self) -> None:

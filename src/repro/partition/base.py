@@ -51,8 +51,7 @@ class Strategy(abc.ABC):
         self.layout: Layout = DirectoryGrainLayout()
         #: request-path fast lane: ino -> MDS memo, valid only while both
         #: the namespace ``structure_epoch`` and the strategy's own partition
-        #: state are unchanged.  ``None`` when the fast lane is disabled; a
-        #: compiled AuthorityMemo when REPRO_BACKEND selects the C backend.
+        #: state are unchanged.  ``None`` when the fast lane is disabled.
         self._auth_cache: Optional[Dict[int, int]] = None
         self._auth_epoch = -1
         #: monotonic generation counter bumped on every partition-state
@@ -63,21 +62,8 @@ class Strategy(abc.ABC):
     def bind(self, ns: Namespace) -> None:
         """Attach the namespace and build the initial partition."""
         self.ns = ns
-        self.__dict__.pop("authority_of_ino", None)
-        self._auth_cache = None
+        self._auth_cache = {} if fastpath_enabled() else None
         self._auth_epoch = -1
-        if fastpath_enabled():
-            # Under REPRO_BACKEND=compiled the memo is the C AuthorityMemo
-            # and its lookup shadows the python method entirely (same
-            # epoch-check-then-dict semantics, no interpreter dispatch);
-            # on the reference path the memo is the inline dict below.
-            from ..model.backend import make_authority_memo
-            memo = make_authority_memo(ns, self._authority_of_ino)
-            if memo is None:
-                self._auth_cache = {}
-            else:
-                self._auth_cache = memo
-                self.authority_of_ino = memo.lookup
         self._setup()
 
     def _setup(self) -> None:

@@ -43,7 +43,7 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from ..mds.messages import (MdsReply, MdsRequest, OVERLOAD_ERROR,
                              READ_ONLY_OPS)
-from ..model.backend import make_popularity_map
+from ..mds.popularity import PopularityMap
 from ..sim import Environment, Event, Resource
 
 
@@ -127,7 +127,7 @@ class ProxyNode:
         self.tier = tier
         self.spec = spec
         self.cpu = Resource(env, capacity=1)
-        self.popularity = make_popularity_map(spec.popularity_halflife_s)
+        self.popularity = PopularityMap(spec.popularity_halflife_s)
         self.stats = ProxyStats()
         #: key -> (reply, cached_at); insertion-ordered for FIFO eviction
         self._cache: Dict[_Key, Tuple[MdsReply, float]] = {}

@@ -7,16 +7,8 @@ A small, deterministic, dependency-free simpy-like kernel:
 * :class:`Process` — generator-coroutine processes that ``yield`` events.
 * :class:`Resource` / :class:`Store` — FIFO servers and blocking buffers.
 * :class:`RngStreams` — named reproducible random streams.
-
-The calendar itself is swappable (:mod:`repro.sim.backend`): the
-pure-python reference kernel above, or a bit-identical compiled C kernel
-selected by the ``REPRO_BACKEND`` gate — :func:`make_environment` is the
-backend-aware constructor.
 """
 
-from .backend import (BACKEND_ENV, CompiledEnvironment, EVENT_TYPES,
-                      backend_of, compiled_viable, kernel_info,
-                      make_environment, parse_backend_env, resolve_kernel)
 from .engine import Environment, Event, Timeout, NORMAL, URGENT
 from .errors import EventAlreadyTriggered, ProcessCrashed, SimulationError
 from .process import Interrupt, Process
@@ -24,9 +16,6 @@ from .resources import Request, Resource, Store
 from .rng import RngStreams, derive_seed
 
 __all__ = [
-    "BACKEND_ENV",
-    "CompiledEnvironment",
-    "EVENT_TYPES",
     "Environment",
     "Event",
     "EventAlreadyTriggered",
@@ -41,11 +30,5 @@ __all__ = [
     "Store",
     "Timeout",
     "URGENT",
-    "backend_of",
-    "compiled_viable",
     "derive_seed",
-    "kernel_info",
-    "make_environment",
-    "parse_backend_env",
-    "resolve_kernel",
 ]

@@ -13,7 +13,6 @@ from __future__ import annotations
 from sys import getrefcount
 from typing import Any, Generator
 
-from .backend import EVENT_TYPES
 from .engine import Environment, Event, NORMAL, URGENT, _POOL_MAX
 from .errors import SimulationError, StopSimulation
 from .resources import Request
@@ -138,7 +137,7 @@ class Process(Event):
                 # the kernel will re-raise when it processes the failure.
                 self.fail(exc, priority=NORMAL)
                 return
-            if not isinstance(target, EVENT_TYPES):
+            if not isinstance(target, Event):
                 crash = TypeError(
                     f"process {self.name!r} yielded {target!r}; processes must"
                     " yield Event instances")

@@ -1,31 +1,13 @@
-"""Run the whole cache suite once per model backend.
+"""Shared fixture for the cache suite.
 
-Every test module in this package constructs caches through the module
-global ``MetadataCache``; the autouse fixture below swaps that name for a
-backend-selecting factory so the identical assertions run against both
-the pure-Python reference implementation and the compiled
-``repro.model._cmodel`` extension.  Module scope keeps hypothesis happy
-(stateful suites may not depend on function-scoped fixtures) and means
-each module runs twice, once per backend.
+The autouse fixture has one parameter, so every test id in this package
+ends in ``[reference]``: the suite once ran per cache implementation, and
+the suffix keeps recorded test ids stable.
 """
 
 import pytest
 
-from repro.model.backend import compiled_model_viable, make_metadata_cache
 
-
-@pytest.fixture(scope="module", autouse=True,
-                params=["reference", "compiled"])
-def cache_backend(request):
-    backend = request.param
-    if backend == "compiled" and not compiled_model_viable():
-        pytest.skip("compiled model extension not built")
-    module = request.module
-    original = getattr(module, "MetadataCache", None)
-    if original is not None:
-        def factory(capacity):
-            return make_metadata_cache(capacity, model=backend)
-        module.MetadataCache = factory
-    yield backend
-    if original is not None:
-        module.MetadataCache = original
+@pytest.fixture(scope="module", autouse=True, params=["reference"])
+def implementation(request):
+    return request.param

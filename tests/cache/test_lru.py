@@ -217,3 +217,95 @@ def test_eviction_counter():
     cache.insert(3, 1, False)
     assert cache.counters.evictions == 1
     assert cache.counters.insertions == 3
+
+
+# ----------------------------------------------------------------------
+# capacity-1 cache: every insert evicts
+# ----------------------------------------------------------------------
+def test_capacity_one_eviction_churn():
+    cache = MetadataCache(1)
+    for ino in range(1, 200):
+        cache.insert(ino, None, False)
+        assert ino in cache and len(cache) == 1
+        cache.verify_invariants()
+    assert cache.counters.evictions == 198
+    assert not cache.overflowed
+
+
+def test_capacity_one_pinned_overflow():
+    cache = MetadataCache(1)
+    cache.insert(1, None, True)
+    cache.pin(1)
+    # the pinned root cannot be evicted; inserting a child overflows
+    cache.insert(2, 1, False)
+    assert cache.overflowed and len(cache) == 2
+    cache.verify_invariants()
+    cache.unpin(1)
+    # next insert drains the overflow back to capacity
+    cache.insert(3, None, False)
+    assert len(cache) <= 2
+    cache.verify_invariants()
+
+
+# ----------------------------------------------------------------------
+# deep pin/unpin chains: one long ancestry, pins rippling to the root
+# ----------------------------------------------------------------------
+def test_deep_pin_unpin_chain():
+    depth = 500
+    cache = MetadataCache(depth + 10)
+    insert_chain(cache, *range(1, depth + 1))
+    # every interior node is pinned by its child; only the leaf is loose
+    unpinned = [e.ino for e in cache.entries() if not e.pinned]
+    assert unpinned == [depth]
+    cache.verify_invariants()
+    # an external pin on the leaf, then release — state fully restored
+    cache.pin(depth)
+    assert cache.get(depth).pinned
+    cache.unpin(depth)
+    assert not cache.get(depth).pinned
+    # removing leaves one by one unpins each parent in turn
+    for ino in range(depth, 1, -1):
+        cache.remove(ino)
+        assert not cache.get(ino - 1).pinned
+    cache.verify_invariants()
+    assert len(cache) == 1
+
+
+def test_unpin_errors_match():
+    cache = MetadataCache(4)
+    cache.insert(1, None, True)
+    with pytest.raises(RuntimeError, match="unpin without pin for ino 1"):
+        cache.unpin(1)
+    with pytest.raises(KeyError):
+        cache.pin(99)
+
+
+def test_remove_with_children_refuses():
+    cache = MetadataCache(8)
+    cache.insert(1, None, True)
+    cache.insert(2, 1, True)
+    cache.insert(3, 1, False)
+    with pytest.raises(RuntimeError,
+                       match="cannot remove ino 1: 2 cached children"):
+        cache.remove(1)
+
+
+def test_collect_subtree_with_replicas():
+    cache = MetadataCache(32)
+    cache.insert(1, None, True)
+    cache.insert(2, 1, True, replica=True)
+    cache.insert(3, 2, True)
+    cache.insert(4, 3, False, replica=True)
+    cache.insert(5, 2, False)
+    cache.insert(6, 1, False, replica=True)
+    got = cache.collect_subtree(2)
+    # leaves-first: every entry precedes its parent, replicas included
+    inos = [e.ino for e in got]
+    assert set(inos) == {2, 3, 4, 5}
+    assert inos.index(4) < inos.index(3) < inos.index(2)
+    assert inos.index(5) < inos.index(2)
+    assert [e.ino for e in got if e.replica] == [4, 2]
+    # a subtree rooted at a leaf is just the leaf
+    assert [e.ino for e in cache.collect_subtree(6)] == [6]
+    # fractions count the replicas we inserted
+    assert cache.replica_fraction() == pytest.approx(3 / 6)

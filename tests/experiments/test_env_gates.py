@@ -7,7 +7,6 @@ import pytest
 from repro.experiments import ExperimentConfig
 from repro.experiments.config import (PARALLEL_ENV, SCALE_ENV, EnvGates,
                                       env_gates, parse_parallel_env)
-from repro.sim.backend import BACKEND_ENV, parse_backend_env, resolve_kernel
 
 
 class TestParseParallelEnv:
@@ -50,44 +49,18 @@ class TestParseParallelEnv:
             parse_parallel_env(token)
 
 
-class TestParseBackendEnv:
-    @pytest.mark.parametrize("raw", [None, "", "  "])
-    def test_unset_or_blank_defers_to_default(self, raw):
-        assert parse_backend_env(raw) is None
-
-    @pytest.mark.parametrize("token,expected", [
-        ("reference", "reference"), ("REFERENCE", "reference"),
-        ("compiled", "compiled"), (" Compiled ", "compiled"),
-    ])
-    def test_mode_tokens(self, token, expected):
-        assert parse_backend_env(token) == expected
-
-    @pytest.mark.parametrize("token", ["bogus", "1", "fast", "c", "auto"])
-    def test_garbage_raises(self, token):
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            parse_backend_env(token)
-
-    def test_resolve_defaults_to_reference(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_kernel() == "reference"
-        assert resolve_kernel("reference") == "reference"
-
-
 class TestEnvGatesPrecedence:
     def test_defaults(self, monkeypatch):
         for name in list(os.environ):
             if name.startswith("REPRO_"):
                 monkeypatch.delenv(name)
         gates = env_gates()
-        assert gates == EnvGates(parallel_workers=None, scale=1.0,
-                                 backend="reference")
+        assert gates == EnvGates(parallel_workers=None, scale=1.0)
 
     def test_env_vars_override_defaults(self, monkeypatch):
         monkeypatch.setenv(PARALLEL_ENV, "6")
         monkeypatch.setenv(SCALE_ENV, "0.4")
-        monkeypatch.setenv(BACKEND_ENV, "compiled")
         gates = env_gates()
-        assert gates.backend == "compiled"
         assert gates.parallel_workers == 6
         assert gates.scale == pytest.approx(0.4)
 
@@ -101,15 +74,6 @@ class TestEnvGatesPrecedence:
     def test_default_scale_used_without_config(self, monkeypatch):
         monkeypatch.delenv(SCALE_ENV, raising=False)
         assert env_gates(default_scale=0.3).scale == pytest.approx(0.3)
-
-    def test_backend_env_var_reaches_config_gates(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "compiled")
-        assert env_gates(ExperimentConfig()).backend == "compiled"
-
-    def test_backend_env_var_garbage_raises(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "turbo")
-        with pytest.raises(ValueError, match="REPRO_BACKEND"):
-            env_gates()
 
 
 class TestReExports:

@@ -10,26 +10,16 @@ import copy
 
 import pytest
 
-from repro.model.backend import (compiled_model_viable, make_resolution_memo,
-                                 set_model_gate)
 from repro.namespace import (FileNotFound, Namespace, NotADirectory,
-                             build_tree)
+                             ResolutionMemo, build_tree)
 
 
-@pytest.fixture(scope="module", autouse=True,
-                params=["reference", "compiled"])
-def model_backend(request):
-    """Run every memo test against both backends.
-
-    ``enable_resolution_memo`` builds its memo through the model-backend
-    factory, so steering the process-wide gate is enough to swap the
-    implementation under the whole suite.
-    """
-    if request.param == "compiled" and not compiled_model_viable():
-        pytest.skip("compiled model extension not built")
-    previous = set_model_gate(request.param)
-    yield request.param
-    set_model_gate(previous)
+@pytest.fixture(scope="module", autouse=True, params=["reference"])
+def implementation(request):
+    """One parameter, so every test id here ends in ``[reference]``: the
+    suite once ran per memo implementation, and the suffix keeps recorded
+    test ids stable."""
+    return request.param
 
 
 @pytest.fixture
@@ -181,4 +171,41 @@ def test_memo_survives_deepcopy_independently(ns):
 
 def test_memo_rejects_bad_capacity():
     with pytest.raises(ValueError):
-        make_resolution_memo(capacity=0)
+        ResolutionMemo(capacity=0)
+
+
+# ----------------------------------------------------------------------
+# invalidation through the full namespace stack: deep chains, recreation
+# ----------------------------------------------------------------------
+@pytest.fixture
+def memo_ns():
+    namespace = Namespace()
+    build_tree(namespace, {
+        "a": {"b": {"c": {"f.txt": 10}}, "g.txt": 20},
+    })
+    namespace.enable_resolution_memo()
+    return namespace
+
+
+def test_memo_rename_invalidates_deep_chain(memo_ns):
+    ns = memo_ns
+    deep = ("a", "b", "c", "f.txt")
+    ino = ns.resolve(deep).ino
+    ns.ancestors(ino)  # memoise the chain as well as the path
+    before = ns.resolution_memo.invalidations
+    ns.rename(("a", "b"), ("a", "b2"))
+    assert ns.resolution_memo.invalidations > before
+    assert ns.try_resolve(deep) is None
+    assert ns.resolve(("a", "b2", "c", "f.txt")).ino == ino
+    ns.resolution_memo.verify_invariants()
+
+
+def test_memo_unlink_then_recreate(memo_ns):
+    ns = memo_ns
+    path = ("a", "g.txt")
+    old = ns.resolve(path).ino
+    ns.unlink(path)
+    assert ns.try_resolve(path) is None
+    fresh = ns.create_file(path)
+    assert ns.resolve(path).ino == fresh.ino != old
+    ns.resolution_memo.verify_invariants()

@@ -133,7 +133,6 @@ def test_fragmented_directory_names_each_entry_once(monkeypatch):
     strategy = make_strategy("DynamicSubtree", 4)
     calls = []
     original = strategy._authority_of_ino
-    # patched before bind, so a compiled memo captures the counter too
     monkeypatch.setattr(strategy, "_authority_of_ino",
                         lambda i: calls.append(i) or original(i))
     strategy.bind(ns)

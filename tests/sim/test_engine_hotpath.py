@@ -5,10 +5,6 @@ construction fast path, the inlined ``run`` loop) must preserve the
 kernel's ordering contract exactly: FIFO at equal ``(time, priority)``,
 URGENT before NORMAL at equal times, and ``run(until=...)`` semantics.
 A fixed-seed golden event-order test pins the full interleaving.
-
-Every test runs against **both** kernel backends (the pure-python
-reference and the compiled C calendar) via the ``make_env`` fixture; the
-compiled half skips cleanly when the extension is not built.
 """
 
 import random
