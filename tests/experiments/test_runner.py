@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.experiments import (ExperimentConfig, build_simulation,
-                               run_steady_state, run_timeline)
+from repro.experiments import (ExperimentConfig, run_steady_state,
+                               run_timeline)
 
 
 def small(**kw):
@@ -29,22 +29,6 @@ def test_steady_state_deterministic():
     assert a.total_ops == b.total_ops
     assert a.mean_node_throughput == pytest.approx(b.mean_node_throughput)
     assert a.hit_rate == pytest.approx(b.hit_rate)
-
-
-def test_summary_carries_provenance_fields():
-    """``perfbench`` reports ``kernel_backend``, ``model_backend`` and
-    ``fastlane`` from ``summary().kernel``; a missing key breaks every
-    benchmark run with a ``KeyError``."""
-    cfg = small()
-    sim = build_simulation(cfg)
-    sim.run_to(cfg.run_until_s)
-    kernel = sim.summary().kernel
-    assert kernel["kernel_backend"] == "reference"
-    assert kernel["model_backend"] == "reference"
-    assert isinstance(kernel["fastlane"], bool)
-    # the counters perfbench's per-layer table reads
-    for key in ("events_scheduled", "fast_resumes", "pool_reuse_rate"):
-        assert key in kernel
 
 
 def test_steady_state_seed_changes_results():
