@@ -97,8 +97,8 @@ class ShiftingWorkload(GeneralWorkload):
             # first migrated op: carve out a private working directory
             state["mig_dir"] = pathmod.join(
                 state["home"], f"mig{client.client_id}")
-            return MdsRequest(op=OpType.MKDIR, path=state["mig_dir"],
-                              client_id=client.client_id, dir_hint=True)
+            return client.make_request(OpType.MKDIR, state["mig_dir"],
+                                       dir_hint=True)
         # Exploration of the (to this client, unknown) victim region: these
         # requests are misdirected until the client learns the partition —
         # the forwarding spike of Fig. 6 — and go stale again when the
@@ -108,14 +108,12 @@ class ShiftingWorkload(GeneralWorkload):
             target = self._pick_file(some_dir, rng)
             if target is not None:
                 op = OpType.OPEN if rng.random() < 0.6 else OpType.STAT
-                return MdsRequest(op=op, path=target,
-                                  client_id=client.client_id)
+                return client.make_request(op, target)
         cwd = state["mig_dir"]
         op = self._shifted_mix.sample(rng)
         last_created = state.get("last_created")
         if op is OpType.READDIR:
-            return MdsRequest(op=op, path=cwd, client_id=client.client_id,
-                              dir_hint=True)
+            return client.make_request(op, cwd, dir_hint=True)
         if op is OpType.CLOSE:
             request = self._close_oldest(state, client)
             if request is not None:
@@ -131,12 +129,10 @@ class ShiftingWorkload(GeneralWorkload):
             kw = {}
             if op is OpType.SETATTR:
                 kw["size"] = rng.randrange(1, 1 << 24)
-            return MdsRequest(op=op, path=last_created,
-                              client_id=client.client_id, **kw)
+            return client.make_request(op, last_created, **kw)
         state["created"] += 1
         new_path = pathmod.join(
             cwd, f"n{client.client_id}_{state['created']}.dat")
         state["last_created"] = new_path
-        return MdsRequest(op=OpType.CREATE, path=new_path,
-                          client_id=client.client_id,
-                          size=rng.randrange(1, 1 << 24))
+        return client.make_request(OpType.CREATE, new_path,
+                                   size=rng.randrange(1, 1 << 24))

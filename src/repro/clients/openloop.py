@@ -27,12 +27,12 @@ event callbacks, which the kernel dispatches in schedule order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, List, Optional, Tuple, TYPE_CHECKING
+from typing import List, Optional, Tuple, TYPE_CHECKING
 
 from ..metrics import BucketCounter
 from ..mds.messages import OVERLOAD_ERROR, MdsRequest, OpType
 from ..namespace.path import Path
-from ..sim import Event
+from ..sim import URGENT, Event
 from .client import Client, ClientStats, Workload
 
 if TYPE_CHECKING:  # pragma: no cover — avoids a clients<->experiments cycle
@@ -175,8 +175,10 @@ class OpenLoopSource(Client):
 
     Subclasses :class:`Client` for the routing/absorption machinery
     (location cache, stats, tracer integration) but replaces the closed
-    request loop: submissions are paced purely by the arrival process and
-    completions arrive via callbacks on the done event.
+    request loop.  A source is no process: each arrival is a callback on
+    the timeout that models its gap, which submits the request and
+    schedules the next arrival, and completions arrive via callbacks on
+    the done event.
     """
 
     def __init__(self, env, client_id: int, cluster, workload: Workload,
@@ -187,30 +189,43 @@ class OpenLoopSource(Client):
             bucket_width_s=cluster.params.stats_bucket_s)
         self._slo_s = spec.slo_latency_s
 
-    def run(self) -> Generator[Event, Any, None]:
-        env = self.env
+    def start(self) -> None:
+        # The first gap is drawn when the kernel starts, as a process's
+        # body would be: a boot event at the current instant.
+        boot = self.env.event()
+        boot.callbacks.append(self._next_arrival)
+        boot.succeed(priority=URGENT)
+
+    def _next_arrival(self, _event: Event) -> None:
+        """Schedule the next arrival; a zero gap submits at once."""
         workload = self.workload
-        cluster = self.cluster
-        stats = self.stats
-        complete = self._complete
         while True:
             delay = workload.next_delay(self)
             if delay > 0:
-                yield env.timeout(delay)
-            request = workload.next_op(self)
-            if request is None:
-                continue
-            request.client_id = self.client_id
-            request.uid = self.uid
-            tracer = cluster.tracer
-            if tracer is not None and tracer.enabled:
-                request.trace = tracer.maybe_trace(
-                    request.op, request.path, self.client_id, env.now)
-            dest = self._destination(request)
-            stats.offered += 1
-            done = cluster.submit(dest, request)
-            done.callbacks.append(
-                lambda ev, req=request: complete(req, ev._value))
+                self.env.timeout(delay).callbacks.append(self._arrive)
+                return
+            self._submit()
+
+    def _arrive(self, gap: Event) -> None:
+        self._submit()
+        self._next_arrival(gap)
+
+    def _submit(self) -> None:
+        request = self.workload.next_op(self)
+        if request is None:
+            return
+        request.client_id = self.client_id
+        request.uid = self.uid
+        cluster = self.cluster
+        tracer = cluster.tracer
+        if tracer is not None and tracer.enabled:
+            request.trace = tracer.maybe_trace(
+                request.op, request.path, self.client_id, self.env.now)
+        dest = self._destination(request)
+        self.stats.offered += 1
+        done = cluster.submit(dest, request)
+        done.callbacks.append(
+            lambda ev, req=request: self._complete(req, ev._value))
 
     def _complete(self, request: MdsRequest, reply) -> None:
         stats = self.stats

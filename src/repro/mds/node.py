@@ -92,6 +92,9 @@ class MdsNode:
         self.env.process(self._writeback_flusher())
 
     def _worker(self) -> Generator[Event, Any, None]:
+        # No local outlives its handle: a parked worker holding the last
+        # request it served would keep the closed-loop client from
+        # recycling that request object (``Client.run``).
         inbox = self.inbox
         handle = self._handle
         if self.env.fastlane:
@@ -102,16 +105,14 @@ class MdsNode:
             # one URGENT event at a time.
             get_nowait = inbox.get_nowait
             while True:
-                request: MdsRequest = yield inbox.get()
-                yield from handle(request)
+                yield from handle((yield inbox.get()))
                 while True:
                     queued = get_nowait()
                     if queued is None:
                         break
                     yield from handle(queued)
         while True:
-            request = yield inbox.get()
-            yield from handle(request)
+            yield from handle((yield inbox.get()))
 
     # ------------------------------------------------------------------
     # request handling

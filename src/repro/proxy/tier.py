@@ -33,13 +33,22 @@ instead of scanning the cache.
 The tier exposes the cluster's client-facing surface (``submit``,
 ``strategy``, ``n_mds``, ``params``, ``tracer``), so closed- and open-loop
 clients work unchanged whether they talk to the cluster or the tier.
+
+Mechanics
+---------
+A request's trip through its proxy is not a process but a chain of
+event callbacks on a :class:`_Trip`: ``submit`` schedules the
+client->proxy hop, and each later step (CPU hold, upstream reply, retry
+backoff) is a callback on the event it waits for.  That spares every
+proxied request a process boot entry and a generator resume per hop.
+``tests/proxy/test_proxy_lifecycle.py`` pins every branch of a trip.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..mds.messages import (MdsReply, MdsRequest, OVERLOAD_ERROR,
                              READ_ONLY_OPS)
@@ -135,99 +144,30 @@ class ProxyNode:
         self._inflight: Dict[_Key, List[Tuple[Event, MdsRequest, float]]] = {}
 
     # ------------------------------------------------------------------
-    def serve(self, request: MdsRequest, dest: int,
-              done: Event) -> Generator[Event, Any, None]:
+    def _hold_cpu(self, then: Callable[[Event], None]) -> None:
+        """Hold the proxy CPU for one op, then call ``then``.
+
+        Uncontended under the fast lane this is one timeout whose first
+        callback releases the CPU.  Otherwise it is :meth:`Resource.use`'s
+        sequence spelled as callbacks: claim, hold once granted, release,
+        continue.
+        """
+        cpu = self.cpu
+        hold_s = self.spec.cpu_op_s
+        hold = cpu.acquire(hold_s)
+        if hold is not None:
+            hold.callbacks.append(then)
+            return
         env = self.env
-        spec = self.spec
-        submitted = request.submitted_at
-        yield env.timeout(self.tier.net_hop_s)  # client -> proxy hop
-        read = not request.is_mutation
-        key: _Key = (request.op, request.path)
-        if read:
-            hot = (self.popularity.add(key, env.now)
-                   >= spec.hot_threshold)
-            if hot:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    reply, at = cached
-                    # stale-while-revalidate: while a refresher is already
-                    # in flight, keep serving the stale entry — stalling
-                    # the whole burst behind one upstream fetch is the
-                    # worse trade for TTL-bounded metadata reads
-                    if (env.now - at <= spec.cache_ttl_s
-                            or (spec.coalesce and key in self._inflight)):
-                        yield from self._cpu(spec.cpu_op_s)
-                        self.stats.absorbed += 1
-                        # served here: zero MDS hops this time around
-                        self._finish(done, reply, submitted, forwarded=0)
-                        return
-                    # stale with no refresher in flight: fall through and
-                    # refresh; the entry stays cached so arrivals during
-                    # the refresh are served stale, and it remains a
-                    # fallback if admission control sheds the refresh
-                if spec.coalesce:
-                    waiters = self._inflight.get(key)
-                    if waiters is not None:
-                        self.stats.coalesced += 1
-                        waiters.append((done, request, submitted))
-                        return
-                    self._inflight[key] = []
 
-        yield from self._cpu(spec.cpu_op_s)
-        self.stats.forwarded += 1
-        reply = yield self.tier.cluster.submit(dest, request)
-        request.done = None
-        if read and key in self._inflight:
-            # the designated hot fetch carries every coalesced waiter, so
-            # an admission-control shed would fail the whole burst exactly
-            # when absorption matters most: back off and retry, rotating
-            # across MDS nodes to dodge the overloaded inbox
-            attempt = 0
-            while (not reply.ok and reply.error == OVERLOAD_ERROR
-                   and attempt < spec.overload_retries):
-                # don't hold coalesced waiters through the whole backoff
-                # chain: flush them with the shed reply now (a cheap,
-                # explicit drop) and let only the fetch itself keep
-                # retrying — new arrivals coalesce onto the next attempt
-                waiters = self._inflight.get(key)
-                if waiters:
-                    for wdone, _wreq, wsub in waiters:
-                        self._finish(wdone, reply, wsub,
-                                     forwarded=reply.forwarded)
-                    waiters.clear()
-                yield env.timeout(spec.retry_backoff_s * (1 << attempt))
-                attempt += 1
-                self.stats.retries += 1
-                self.stats.forwarded += 1
-                retry_dest = (dest + attempt) % self.tier.cluster.n_mds
-                reply = yield self.tier.cluster.submit(retry_dest, request)
-                request.done = None
-        if read:
-            if reply.ok:
-                self._remember(key, reply)
-            elif reply.error == OVERLOAD_ERROR:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    # refresh shed even after retries: a stale hot reply
-                    # beats failing everyone who piggybacked on the fetch
-                    self.stats.absorbed += 1
-                    reply = cached[0]
-            waiters = self._inflight.pop(key, None)
-            if waiters:
-                for wdone, _wreq, wsub in waiters:
-                    self._finish(wdone, reply, wsub,
-                                 forwarded=reply.forwarded)
-        else:
-            self.tier.invalidate(request)
-        self._finish(done, reply, submitted, forwarded=reply.forwarded)
+        def _release_then(held: Event) -> None:
+            cpu.release()
+            then(held)
 
-    # ------------------------------------------------------------------
-    def _cpu(self, hold_s: float) -> Generator[Event, Any, None]:
-        hold = self.cpu.acquire(hold_s)
-        if hold is not None:  # uncontended fast lane: one event
-            yield hold
-        else:
-            yield from self.cpu.use(hold_s)
+        def _granted(_grant: Event) -> None:
+            env.timeout(hold_s).callbacks.append(_release_then)
+
+        cpu.request().callbacks.append(_granted)
 
     def _finish(self, done: Event, reply: MdsReply, submitted_at: float,
                 *, forwarded: int) -> None:
@@ -263,6 +203,153 @@ class ProxyNode:
                     stats.invalidations += 1
 
 
+class _Trip:
+    """One request's trip through its proxy, run as event callbacks.
+
+    The slots hold what the trip needs between hops; each public method
+    is one step, appended to the event it waits on: the client->proxy
+    hop (:meth:`arrive`), the CPU hold (:meth:`absorbed` or
+    :meth:`forward`), the upstream reply (:meth:`first_reply`), a retry
+    backoff (:meth:`retry`) and a retry's reply (:meth:`retry_reply`).
+    """
+
+    __slots__ = ("node", "request", "dest", "done", "submitted", "key",
+                 "cached", "attempt")
+
+    def __init__(self, node: ProxyNode, request: MdsRequest, dest: int,
+                 done: Event) -> None:
+        self.node = node
+        self.request = request
+        self.dest = dest
+        self.done = done
+        self.submitted = request.submitted_at
+        #: ``(op, path)`` of a read; None for a mutation
+        self.key: Optional[_Key] = None
+        #: the cached reply an absorbed read is served
+        self.cached: Optional[MdsReply] = None
+        self.attempt = 0  # overload retries of the designated fetch
+
+    def arrive(self, _hop: Event) -> None:
+        """The request reached the proxy: absorb, coalesce or forward."""
+        node = self.node
+        spec = node.spec
+        request = self.request
+        if not request.is_mutation:
+            key = self.key = (request.op, request.path)
+            now = node.env.now
+            if node.popularity.add(key, now) >= spec.hot_threshold:
+                cached = node._cache.get(key)
+                if cached is not None:
+                    reply, at = cached
+                    # stale-while-revalidate: while a refresher is already
+                    # in flight, keep serving the stale entry — stalling
+                    # the whole burst behind one upstream fetch is the
+                    # worse trade for TTL-bounded metadata reads
+                    if (now - at <= spec.cache_ttl_s
+                            or (spec.coalesce and key in node._inflight)):
+                        self.cached = reply
+                        node._hold_cpu(self.absorbed)
+                        return
+                    # stale with no refresher in flight: fall through and
+                    # refresh; the entry stays cached so arrivals during
+                    # the refresh are served stale, and it remains a
+                    # fallback if admission control sheds the refresh
+                if spec.coalesce:
+                    waiters = node._inflight.get(key)
+                    if waiters is not None:
+                        node.stats.coalesced += 1
+                        waiters.append((self.done, request, self.submitted))
+                        return
+                    node._inflight[key] = []
+        node._hold_cpu(self.forward)
+
+    def absorbed(self, _held: Event) -> None:
+        node = self.node
+        node.stats.absorbed += 1
+        # served here: zero MDS hops this time around
+        node._finish(self.done, self.cached, self.submitted, forwarded=0)
+
+    def forward(self, _held: Event) -> None:
+        node = self.node
+        node.stats.forwarded += 1
+        upstream = node.tier.cluster.submit(self.dest, self.request)
+        upstream.callbacks.append(self.first_reply)
+
+    def first_reply(self, upstream: Event) -> None:
+        self.request.done = None
+        key = self.key
+        if key is not None and key in self.node._inflight:
+            # The designated hot fetch carries every coalesced waiter, so
+            # an admission-control shed would fail the whole burst exactly
+            # when absorption matters most: it retries instead.  Decided
+            # once, on the first reply: a non-hot read of the same key
+            # may pop the in-flight entry while this fetch backs off, and
+            # the fetch keeps retrying regardless.
+            self._retry_or_settle(upstream._value)
+        else:
+            self._settle(upstream._value)
+
+    def _retry_or_settle(self, reply: MdsReply) -> None:
+        node = self.node
+        spec = node.spec
+        if (not reply.ok and reply.error == OVERLOAD_ERROR
+                and self.attempt < spec.overload_retries):
+            # don't hold coalesced waiters through the whole backoff
+            # chain: flush them with the shed reply now (a cheap, explicit
+            # drop) and let only the fetch itself keep retrying — new
+            # arrivals coalesce onto the next attempt
+            waiters = node._inflight.get(self.key)
+            if waiters:
+                for wdone, _wreq, wsub in waiters:
+                    node._finish(wdone, reply, wsub,
+                                 forwarded=reply.forwarded)
+                waiters.clear()
+            backoff = node.env.timeout(
+                spec.retry_backoff_s * (1 << self.attempt))
+            backoff.callbacks.append(self.retry)
+        else:
+            self._settle(reply)
+
+    def retry(self, _backoff: Event) -> None:
+        """Re-submit the shed fetch, rotating across MDS nodes to dodge
+        the overloaded inbox."""
+        node = self.node
+        self.attempt += 1
+        node.stats.retries += 1
+        node.stats.forwarded += 1
+        cluster = node.tier.cluster
+        upstream = cluster.submit((self.dest + self.attempt) % cluster.n_mds,
+                                  self.request)
+        upstream.callbacks.append(self.retry_reply)
+
+    def retry_reply(self, upstream: Event) -> None:
+        self.request.done = None
+        self._retry_or_settle(upstream._value)
+
+    def _settle(self, reply: MdsReply) -> None:
+        node = self.node
+        key = self.key
+        if key is not None:
+            if reply.ok:
+                node._remember(key, reply)
+            elif reply.error == OVERLOAD_ERROR:
+                cached = node._cache.get(key)
+                if cached is not None:
+                    # refresh shed even after retries: a stale hot reply
+                    # beats failing everyone who piggybacked on the fetch
+                    node.stats.absorbed += 1
+                    reply = cached[0]
+            waiters = node._inflight.pop(key, None)
+            if waiters:
+                for wdone, _wreq, wsub in waiters:
+                    node._finish(wdone, reply, wsub,
+                                 forwarded=reply.forwarded)
+        else:
+            node.tier.invalidate(self.request)
+        node._finish(self.done, reply, self.submitted,
+                     forwarded=reply.forwarded)
+
+
 class ProxyTier:
     """The client-facing front: routes every request through a proxy."""
 
@@ -296,11 +383,13 @@ class ProxyTier:
         """Route ``request`` through the proxy owning its path; returns
         the completion event the client waits on (the proxy keeps its own
         upstream event, so the MDS round trip stays invisible)."""
-        done = self.env.event()
-        request.submitted_at = self.env.now
+        env = self.env
+        done = env.event()
+        request.submitted_at = env.now
         node = self.nodes[self._route(request.path)]
         node.stats.requests += 1
-        self.env.process(node.serve(request, dest, done))
+        hop = env.timeout(self.net_hop_s)  # client -> proxy hop
+        hop.callbacks.append(_Trip(node, request, dest, done).arrive)
         return done
 
     def _route(self, path) -> int:

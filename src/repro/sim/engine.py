@@ -20,6 +20,12 @@ triggered), and :meth:`Environment.run` inlines :meth:`Environment.step`
 with the queue and ``heappop`` bound to locals; both paths are covered by
 the event-order golden tests in ``tests/sim/test_engine_hotpath.py``.
 
+The clock, :attr:`Environment.now`, is a plain slot rather than a
+property: it is read on every hop of every simulated request, and a slot
+load is the cheapest read Python has.  The kernel owns it — ``step`` and
+``run`` set it to each dispatched event's time, and ``run(until=t)``
+leaves it at ``t`` — so nothing outside this module may assign it.
+
 Settled-event fast lane
 -----------------------
 When the fast lane is on (:mod:`repro._fastpath`, read once per environment),
@@ -160,7 +166,7 @@ class Event:
         self._triggered = True
         self._ok = True
         self._value = value
-        self._scheduled_at = self.env._now
+        self._scheduled_at = self.env.now
         self._inline = True
         callbacks = self.callbacks
         self.callbacks = None  # mark processed
@@ -209,7 +215,7 @@ class Timeout(Event):
         self.delay = delay
         seq = env._seq
         env._seq = seq + 1
-        when = env._now + delay
+        when = env.now + delay
         self._scheduled_at = when
         _heappush(env._queue, (when, _NORMAL_KEY | seq, self))
 
@@ -224,13 +230,15 @@ class Environment:
     implementation — the golden-equivalence tests rely on that.
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_fastlane", "_event_pool",
+    __slots__ = ("now", "_queue", "_seq", "_fastlane", "_event_pool",
                  "_timeout_pool", "_request_pool", "fast_resumes",
                  "pool_hits", "pool_allocs")
 
     def __init__(self, initial_time: float = 0.0, *,
                  fastlane: Optional[bool] = None) -> None:
-        self._now = float(initial_time)
+        #: current simulation time: written by the kernel only (see the
+        #: module docstring)
+        self.now = float(initial_time)
         self._queue: list[tuple[float, int, Event]] = []
         self._seq = 0  # tie-breaker preserving FIFO order at equal (t, prio)
         if fastlane is None:
@@ -246,12 +254,6 @@ class Environment:
         self.fast_resumes = 0   # generator resumes without a heap round-trip
         self.pool_hits = 0      # events served from a freelist
         self.pool_allocs = 0    # fresh allocations on pooled paths
-
-    # -- clock ------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
 
     @property
     def fastlane(self) -> bool:
@@ -314,7 +316,7 @@ class Environment:
                 t.delay = delay
                 seq = self._seq
                 self._seq = seq + 1
-                when = self._now + delay
+                when = self.now + delay
                 t._scheduled_at = when
                 _heappush(self._queue, (when, _NORMAL_KEY | seq, t))
                 return t
@@ -365,7 +367,7 @@ class Environment:
 
             return _cb
 
-        now = self._now
+        now = self.now
         for i, ev in enumerate(events):
             if ev._triggered and ev._scheduled_at <= now:
                 # Already settled (value frozen, due now): contribute
@@ -397,7 +399,7 @@ class Environment:
             if not combined._triggered:
                 combined.trigger_from(ev)
 
-        now = self._now
+        now = self.now
         for ev in events:
             if ev._triggered and ev._scheduled_at <= now:
                 combined.trigger_from(ev)
@@ -412,7 +414,7 @@ class Environment:
         """Place a triggered event on the calendar ``delay`` units from now."""
         seq = self._seq
         self._seq = seq + 1
-        when = self._now + delay
+        when = self.now + delay
         event._scheduled_at = when
         _heappush(self._queue, (when, (priority << _PRIO_SHIFT) | seq, event))
 
@@ -441,7 +443,7 @@ class Environment:
     def step(self) -> None:
         """Process exactly one event (advance the clock to it)."""
         when, _key, event = _heappop(self._queue)
-        self._now = when
+        self.now = when
         callbacks = event.callbacks
         event.callbacks = None  # mark processed
         if callbacks:
@@ -485,9 +487,9 @@ class Environment:
         else:
             stop_at = float(until)
             stop_event = None
-            if stop_at < self._now:
+            if stop_at < self.now:
                 raise ValueError(
-                    f"until={stop_at!r} is in the past (now={self._now!r})")
+                    f"until={stop_at!r} is in the past (now={self.now!r})")
 
         # The loop below is step() inlined with the queue, heappop and the
         # boundary bound to locals: attribute loads dominate the per-event
@@ -503,7 +505,7 @@ class Environment:
         try:
             while queue and queue[0][0] <= stop_at:
                 when, _key, event = heappop(queue)
-                self._now = when
+                self.now = when
                 callbacks = event.callbacks
                 event.callbacks = None  # mark processed
                 if callbacks:
@@ -533,5 +535,5 @@ class Environment:
                 "run(until=<event>) exhausted the calendar before the event "
                 "triggered")
         if stop_at != float("inf"):
-            self._now = max(self._now, stop_at)
+            self.now = max(self.now, stop_at)
         return None

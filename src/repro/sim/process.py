@@ -123,7 +123,7 @@ class Process(Event):
                     # completion entry that would dispatch nothing.
                     self._triggered = True
                     self._value = stop.value
-                    self._scheduled_at = env._now
+                    self._scheduled_at = env.now
                     self.callbacks = None  # mark processed
                     return
                 self.succeed(stop.value, priority=NORMAL)

@@ -77,7 +77,7 @@ class Resource:
                     env.pool_allocs += 1
                     req = Request(env)
                 req._triggered = True
-                req._scheduled_at = env._now
+                req._scheduled_at = env.now
                 req._inline = True
                 return req
             req = Request(env)
@@ -154,6 +154,13 @@ class Resource:
         Uncontended with the fast lane on this is a single timeout event
         (via :meth:`acquire`); otherwise it is the reference
         request/hold/release event sequence.
+
+        An exception thrown into the generator while the slot is held (an
+        :class:`~repro.sim.process.Interrupt`) releases the slot before it
+        propagates.  ``GeneratorExit`` does not: the garbage collector
+        closes a worker abandoned mid-hold once its simulation is gone,
+        and a release then would hand the slot to another worker and run
+        the dead simulation inside the collection.
         """
         hold = self.acquire(hold_time)
         if hold is not None:
@@ -162,8 +169,12 @@ class Resource:
         yield self.request()
         try:
             yield self.env.timeout(hold_time)
-        finally:
+        except GeneratorExit:
+            raise
+        except BaseException:
             self.release()
+            raise
+        self.release()
 
 
 class Store:
@@ -228,7 +239,7 @@ class Store:
                     ev = Event(env)
                 ev._value = self._items.popleft()
                 ev._triggered = True
-                ev._scheduled_at = env._now
+                ev._scheduled_at = env.now
                 ev._inline = True
                 return ev
             ev = Event(env)

@@ -116,13 +116,17 @@ class DiskDevice:
             yield fast
             return
         yield self._server.request()
+        hold = self.read_s * units
         try:
-            hold = self.read_s * units
             yield self.env.timeout(hold)
-            self.stats.reads += units
-            self.stats.read_busy_s += hold
-        finally:
+        except GeneratorExit:
+            raise  # closed by the collector: see Resource.use
+        except BaseException:
             self._server.release()
+            raise
+        self.stats.reads += units
+        self.stats.read_busy_s += hold
+        self._server.release()
 
     def write(self, units: int = 1) -> Generator[Event, Any, None]:
         """Perform ``units`` back-to-back write transactions (a sub-process)."""
@@ -131,13 +135,17 @@ class DiskDevice:
             yield fast
             return
         yield self._server.request()
+        hold = self.write_s * units
         try:
-            hold = self.write_s * units
             yield self.env.timeout(hold)
-            self.stats.writes += units
-            self.stats.write_busy_s += hold
-        finally:
+        except GeneratorExit:
+            raise  # closed by the collector: see Resource.use
+        except BaseException:
             self._server.release()
+            raise
+        self.stats.writes += units
+        self.stats.write_busy_s += hold
+        self._server.release()
 
     def utilization(self, elapsed_s: float) -> float:
         """Fraction of ``elapsed_s`` the device spent busy."""

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Environment, Resource, Store
+from repro.sim import Environment, Interrupt, Resource, Store
 
 
 def test_resource_capacity_validation():
@@ -91,6 +91,62 @@ def test_resource_use_helper_releases_on_completion():
     env.run(until=proc)
     assert env.now == 3.0
     assert res.in_use == 0
+
+
+@pytest.mark.parametrize("fastlane", [True, False])
+def test_resource_use_releases_when_interrupted_mid_hold(fastlane):
+    env = Environment(fastlane=fastlane)
+    res = Resource(env, capacity=1)
+    log = []
+
+    def holder():
+        yield from res.use(1.0)
+
+    def victim():
+        try:
+            yield from res.use(5.0)  # contended: holds from t=1 to t=6
+        except Interrupt:
+            log.append(("interrupted", env.now, res.in_use))
+
+    def successor():
+        yield from res.use(1.0)
+        log.append(("successor done", env.now))
+
+    env.process(holder())
+    target = env.process(victim())
+    env.process(successor())
+
+    def interrupter():
+        yield env.timeout(2.0)
+        target.interrupt("stop")
+
+    env.process(interrupter())
+    env.run()
+    # the slot went to the successor at the interrupt, not at t=6
+    assert log == [("interrupted", 2.0, 1), ("successor done", 3.0)]
+    assert res.in_use == 0
+
+
+@pytest.mark.parametrize("fastlane", [True, False])
+def test_closing_a_use_parked_mid_hold_hands_the_slot_to_nobody(fastlane):
+    # What the garbage collector does to a worker abandoned with its
+    # simulation: close the generator.  Handing the slot to the next
+    # waiter then would run simulation code inside the collection.
+    env = Environment(fastlane=fastlane)
+    res = Resource(env, capacity=1)
+
+    def worker():
+        yield from res.use(1.0)
+
+    env.process(worker())  # holds the slot from t=0 to t=1
+    parked = worker()
+    env.process(parked)  # contended: holds from t=1 to t=2
+    waiter = env.process(worker())
+    env.run(until=1.5)
+    assert res.in_use == 1 and res.queue_length == 1
+    parked.close()
+    assert res.in_use == 1 and res.queue_length == 1
+    assert waiter.is_alive
 
 
 def test_resource_cancel_queued_request():
