@@ -20,7 +20,6 @@ from ..sim import Environment, Event
 from ..storage import ObjectStore
 from .config import SimParams
 from .dirfrag import DirFragManager
-from .distmemo import DistributionMemo
 from .loadbalance import LoadBalancer
 from .messages import OVERLOAD_ERROR, MdsReply, MdsRequest
 from .node import MdsNode
@@ -58,19 +57,6 @@ class MdsCluster:
             read_s=params.disk_read_s, write_s=params.disk_write_s)
         #: inos replicated on every node by traffic control (§4.4)
         self.hot_inos: Set[int] = set()
-        #: path -> distribution-info mapping, shared by all nodes (the info
-        #: depends only on global state: namespace structure, partition
-        #: state, hot set).  Invalidated precisely: the namespace reports
-        #: structural mutations per ino, hot-set toggles invalidate the
-        #: toggled ino, and partition-state changes (``_auth_gen``) clear
-        #: it wholesale.  ``None`` when the fast lane is off (reference
-        #: mode computes per reply).
-        self._dist_memo: Optional[DistributionMemo] = (
-            DistributionMemo() if env.fastlane else None)
-        if self._dist_memo is not None:
-            ns.attach_structure_watcher(self._dist_memo)
-        #: the strategy generation the memo was last cleared at
-        self._dist_auth_gen = -1
         #: unlinked-while-open inodes -> the node retaining them (§4.5)
         self.orphan_authorities: Dict[int, int] = {}
         self.deferred_work_created = 0
@@ -226,12 +212,7 @@ class MdsCluster:
                 value = self.nodes[authority].popularity.read(ino, now)
                 if value < self.params.unreplicate_threshold:
                     cooled.append(ino)
-            if cooled:
-                memo = self._dist_memo
-                for ino in cooled:
-                    self.hot_inos.discard(ino)
-                    if memo is not None:
-                        memo.invalidate_ino(ino)
+            self.hot_inos.difference_update(cooled)
 
     def _lazy_update_drainer(self) -> Generator[Event, Any, None]:
         """Background propagation of Lazy Hybrid's owed updates (§3.1.3).

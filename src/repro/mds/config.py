@@ -10,7 +10,7 @@ slower", §4.3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 
@@ -135,12 +135,6 @@ class SimParams:
         if factor <= 0:
             raise ValueError(f"speed factor must be positive, got {factor}")
         return factor
-
-    def scaled_cache(self, fraction: float, total_metadata: int) -> "SimParams":
-        """Copy with cache sized as a fraction of the namespace (Fig. 4)."""
-        capacity = max(8, int(fraction * total_metadata))
-        return replace(self, cache_capacity=capacity,
-                       journal_capacity=capacity)
 
 
 DEFAULT_PARAMS = SimParams()

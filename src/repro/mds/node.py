@@ -634,10 +634,7 @@ class MdsNode:
             if entry is not None and entry.replica and not entry.pinned:
                 peer.cache.remove(ino)
         self.stats.invalidations_sent += len(holders)
-        if ino in self.cluster.hot_inos:
-            self.cluster.hot_inos.discard(ino)
-            if self.cluster._dist_memo is not None:
-                self.cluster._dist_memo.invalidate_ino(ino)
+        self.cluster.hot_inos.discard(ino)
         self._replication_cooldown[ino] = (
             self.env.now + 4 * self.params.popularity_halflife_s)
 
@@ -682,8 +679,6 @@ class MdsNode:
                         == self.node_id):
                     self.replicas.register(link.ino, peer.node_id)
         self.cluster.hot_inos.add(ino)
-        if self.cluster._dist_memo is not None:
-            self.cluster._dist_memo.invalidate_ino(ino)
         self.stats.replications_pushed += 1
 
     # ------------------------------------------------------------------
@@ -708,67 +703,18 @@ class MdsNode:
     def _distribution_info(self, path) -> dict:
         """Location hints for the path and its prefixes (§4.4).
 
-        One incremental walk down the dentry tree covers every prefix —
-        resolution is hierarchical, so the first unresolvable component
-        ends the hints (deeper prefixes cannot resolve either).
-
-        The result depends only on global state — namespace structure,
-        partition state, hot set — so with the fast lane on it is memoised
-        cluster-wide per path (:class:`~repro.mds.distmemo.DistributionMemo`).
-        Invalidation is precise: entries are indexed by the inodes on
-        their walk; structural mutations and hot-set toggles drop exactly
-        the walks through the mutated ino, and only a partition-state
-        change (``_auth_gen``) clears the memo wholesale.  Dentry
-        *additions* never invalidate: a new entry can only extend a walk
-        that ended early, so a **complete** entry (every component
-        resolved) stays valid across creates, while a truncated one is
-        revalidated against ``dentry_add_epoch``.  Replies share the
-        memoised mapping; clients only read it (like ``EMPTY_LOCATIONS``).
+        One walk down the dentry tree covers every prefix — resolution is
+        hierarchical, so the first unresolvable component ends the hints
+        (deeper prefixes cannot resolve either).  The walk comes from
+        :meth:`Namespace.walk`, which the resolution memo serves for any
+        path the request already resolved.
         """
         cluster = self.cluster
-        memo = cluster._dist_memo
-        if memo is not None:
-            ns = cluster.ns
-            auth_gen = cluster.strategy._auth_gen
-            if auth_gen != cluster._dist_auth_gen:
-                memo.clear()
-                cluster._dist_auth_gen = auth_gen
-            entry = memo.entries.get(path)
-            if entry is not None:
-                if entry[0] or entry[1] == ns.dentry_add_epoch:
-                    memo.hits += 1
-                    return entry[2]
-            memo.misses += 1
-            info, walk_inos = self._compute_distribution_walk(path)
-            # root entry + one per component <=> the whole path resolved
-            memo.store(path, len(info) == len(path) + 1,
-                       ns.dentry_add_epoch, info, walk_inos)
-            return info
-        return self._compute_distribution_walk(path)[0]
-
-    def _compute_distribution_walk(self, path) -> "tuple[dict, tuple]":
-        """Walk the dentry tree once: ``(prefix -> authority hints,
-        inos of the resolved components)``.  The ino tuple is what the
-        memo indexes invalidation by."""
-        ns = self.cluster.ns
-        strategy = self.cluster.strategy
-        hot = self.cluster.hot_inos
+        authority_of_ino = cluster.strategy.authority_of_ino
+        hot = cluster.hot_inos
         info: dict = {(): ANY_NODE}  # the root is cached on every node
-        walk: list = []
-        node = ns.root
-        depth = 0
-        for name in path:
-            if not node.is_dir:
-                break
-            child_ino = node.children.get(name)  # type: ignore[union-attr]
-            if child_ino is None:
-                break
-            node = ns.inode(child_ino)
-            depth += 1
-            prefix = path[:depth]
-            walk.append(child_ino)
-            if child_ino in hot:
-                info[prefix] = ANY_NODE
-            else:
-                info[prefix] = strategy.authority_of_ino(child_ino)
-        return info, tuple(walk)
+        for depth, node in enumerate(cluster.ns.walk(path), 1):
+            ino = node.ino
+            info[path[:depth]] = (ANY_NODE if ino in hot
+                                  else authority_of_ino(ino))
+        return info

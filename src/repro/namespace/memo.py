@@ -8,15 +8,18 @@ structure, so :class:`ResolutionMemo` caches them:
 
 * **path entries** — ``path -> (target inode, walk inodes)`` where the walk
   is the inode at each path depth (root excluded).  A hit turns
-  ``Namespace.resolve`` into one dict lookup.
-* **chain entries** — ``ino -> ancestor inodes (root first)``, backing
-  ``Namespace.ancestors``.
+  ``Namespace.resolve`` into one dict lookup and is what
+  ``Namespace.walk`` (the reply-hint walk) returns.
+* **chain entries** — ``ino -> ancestor inos (root first)``, one shared
+  immutable tuple backing ``Namespace.ancestor_inos`` (and
+  ``Namespace.ancestors``, which maps it back to inodes).
 
-Entries store *references* to live :class:`~repro.namespace.inode.Inode`
-objects, so in-place attribute mutations (chmod, setattr, mtime) are always
-visible; only *structural* mutations can make an entry stale.  Invalidation
-is precise: every entry is indexed by each inode on its walk/chain, and
-``invalidate_ino`` — called by :class:`~repro.namespace.tree.Namespace` on
+Path entries store *references* to live
+:class:`~repro.namespace.inode.Inode` objects, so in-place attribute
+mutations (chmod, setattr, mtime) are always visible; only *structural*
+mutations can make an entry stale.  Invalidation is precise: every entry
+is indexed by each inode on its walk/chain, and ``invalidate_ino`` —
+called by :class:`~repro.namespace.tree.Namespace` on
 ``unlink``/``rename``/orphan release — drops exactly the entries whose walk
 passes through the mutated inode (a renamed directory therefore invalidates
 its whole cached subtree in one call).  Creations and hard-link additions
@@ -30,7 +33,7 @@ the backing namespace walk is always correct).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, Set, Tuple, Union
 
 from .inode import Inode
 from .path import Path
@@ -43,7 +46,7 @@ _MemoKey = Union[Path, int]
 class ResolutionMemo:
     """Bounded memo of path resolutions and ancestor chains."""
 
-    __slots__ = ("capacity", "paths", "chains", "ino_chains", "_deps",
+    __slots__ = ("capacity", "paths", "chains", "_deps",
                  "hits", "misses", "invalidations")
 
     def __init__(self, capacity: int = 65536) -> None:
@@ -53,11 +56,8 @@ class ResolutionMemo:
         #: path -> (target, walk); walk[i] is the inode at depth i+1, so
         #: walk[-1] is the target itself (root excluded).
         self.paths: Dict[Path, Tuple[Inode, Tuple[Inode, ...]]] = {}
-        #: ino -> ancestors of ino, root first (excluding ino itself).
-        self.chains: Dict[int, Tuple[Inode, ...]] = {}
-        #: ino -> the same chain as bare inos (shared immutable tuple);
-        #: derived from ``chains`` and dropped with it.
-        self.ino_chains: Dict[int, Tuple[int, ...]] = {}
+        #: ino -> ancestor inos of ino, root first (excluding ino itself).
+        self.chains: Dict[int, Tuple[int, ...]] = {}
         #: ino -> keys of entries whose walk/chain passes through it.
         self._deps: Dict[int, Set[_MemoKey]] = {}
         self.hits = 0
@@ -84,14 +84,13 @@ class ResolutionMemo:
                 bucket = deps[node.ino] = set()
             bucket.add(path)
 
-    def store_chain(self, ino: int, chain: Tuple[Inode, ...]) -> None:
-        """Memoise ``ancestors(ino)`` (root first, ``ino`` excluded)."""
+    def store_chain(self, ino: int, chain: Tuple[int, ...]) -> None:
+        """Memoise ``ancestor_inos(ino)`` (root first, ``ino`` excluded)."""
         if ino in self.chains:
             return
         while len(self.chains) >= self.capacity:
             self._drop_chain(next(iter(self.chains)))
         self.chains[ino] = chain
-        self.ino_chains[ino] = tuple(node.ino for node in chain)
         deps = self._deps
         # the entry depends on ino itself (a rename/unlink of ino must kill
         # it) and on every non-root ancestor on the chain
@@ -99,10 +98,10 @@ class ResolutionMemo:
         if bucket is None:
             bucket = deps[ino] = set()
         bucket.add(ino)
-        for node in chain[1:]:  # chain[0] is the immovable root
-            bucket = deps.get(node.ino)
+        for dep_ino in chain[1:]:  # chain[0] is the immovable root
+            bucket = deps.get(dep_ino)
             if bucket is None:
-                bucket = deps[node.ino] = set()
+                bucket = deps[dep_ino] = set()
             bucket.add(ino)
 
     # ------------------------------------------------------------------
@@ -132,7 +131,6 @@ class ResolutionMemo:
     def clear(self) -> None:
         self.paths.clear()
         self.chains.clear()
-        self.ino_chains.clear()
         self._deps.clear()
 
     # ------------------------------------------------------------------
@@ -155,9 +153,8 @@ class ResolutionMemo:
         chain = self.chains.pop(ino, None)
         if chain is None:
             return False
-        self.ino_chains.pop(ino, None)
         deps = self._deps
-        for dep_ino in (ino, *(node.ino for node in chain[1:])):
+        for dep_ino in (ino, *chain[1:]):
             bucket = deps.get(dep_ino)
             if bucket is not None:
                 bucket.discard(ino)
@@ -180,14 +177,10 @@ class ResolutionMemo:
                 expected.setdefault(node.ino, set()).add(path)
         for ino, chain in self.chains.items():
             expected.setdefault(ino, set()).add(ino)
-            for node in chain[1:]:
-                expected.setdefault(node.ino, set()).add(ino)
+            for dep_ino in chain[1:]:
+                expected.setdefault(dep_ino, set()).add(ino)
         assert self._deps == expected, (
             f"dep index mismatch: {self._deps} != {expected}")
-        assert self.ino_chains.keys() == self.chains.keys(), (
-            "ino_chains out of sync with chains")
-        for ino, chain in self.chains.items():
-            assert self.ino_chains[ino] == tuple(n.ino for n in chain)
 
 
 __all__ = ["ResolutionMemo"]

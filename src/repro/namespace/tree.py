@@ -41,9 +41,6 @@ class Namespace:
         #: request-path fast lane (attached by the cluster when the fast
         #: path is enabled); ``None`` means every resolve walks the tree
         self._memo: Optional[ResolutionMemo] = None
-        #: optional second precise-invalidation consumer (the cluster's
-        #: distribution-info memo); duck-typed ``invalidate_ino(ino)``
-        self._structure_watcher = None
         #: dir ino -> (subdir names, file names) in entry order, built on
         #: first ask; dropped wherever that directory's ``children`` change
         self._listings: Dict[int, Tuple[List[str], List[str]]] = {}
@@ -53,13 +50,6 @@ class Namespace:
         #: instead of registering callbacks — an int survives ``deepcopy``
         #: where a listener list would drag its subscribers along.
         self.structure_epoch = 0
-        #: bumped on every dentry *addition* (create/mkdir/link).  Additions
-        #: deliberately do not bump ``structure_epoch`` — they cannot stale a
-        #: cached successful resolution or a per-ino authority — but they CAN
-        #: extend a previously truncated path walk, so caches that memoise
-        #: walks ending at an unresolvable component (the distribution-info
-        #: memo) must key on this too.
-        self.dentry_add_epoch = 0
         root = self._new_inode(InodeType.DIR, parent_ino=ROOT_INO)
         assert root.ino == ROOT_INO
         self.root = root
@@ -188,45 +178,69 @@ class Namespace:
             node = parent
         return tuple(reversed(parts))
 
+    def walk(self, path: Path) -> Tuple[Inode, ...]:
+        """Inodes of the longest resolvable prefix of ``path``.
+
+        ``walk(path)[i]`` is the inode at depth ``i + 1`` (the root is
+        excluded); the walk stops at the first missing or non-directory
+        component instead of raising.  A path the fast lane has resolved
+        returns its memoised walk — shared and immutable — so this adds no
+        hit or miss to the memo's counters and stores nothing.
+        """
+        memo = self._memo
+        if memo is not None:
+            hit = memo.paths.get(path)
+            if hit is not None:
+                return hit[1]
+        inodes = self._inodes
+        node = self.root
+        walk: List[Inode] = []
+        for name in path:
+            if not node.is_dir:
+                break
+            child_ino = node.children.get(name)  # type: ignore[union-attr]
+            if child_ino is None:
+                break
+            node = inodes[child_ino]
+            walk.append(node)
+        return tuple(walk)
+
     def ancestors(self, ino: int) -> List[Inode]:
         """Ancestor directories of ``ino``, root first (excludes ``ino``).
 
-        Returns a fresh list on every call (callers extend it); with the
-        fast lane attached the chain itself comes from the memo.
+        Returns a fresh list on every call (callers extend it).  Only cold
+        paths (migration, failover, replication broadcast) need inodes, so
+        this maps :meth:`ancestor_inos` — and its memoised chain — back
+        through the inode table.
+        """
+        inodes = self._inodes
+        return [inodes[a] for a in self.ancestor_inos(ino)]
+
+    def ancestor_inos(self, ino: int) -> Tuple[int, ...]:
+        """Ancestor inos of ``ino``, root first (excludes ``ino``).
+
+        The request path's chain query (traversal, popularity accounting).
+        With the fast lane attached the chain is memoised and a hit returns
+        the shared immutable tuple with no per-call copy.  Do not mutate
+        the result.
         """
         memo = self._memo
         if memo is not None:
             cached = memo.chains.get(ino)
             if cached is not None:
                 memo.hits += 1
-                return list(cached)
+                return cached
             memo.misses += 1
-        chain: List[Inode] = []
+        chain: List[int] = []
         node = self.inode(ino)
         while node.ino != ROOT_INO:
+            chain.append(node.parent_ino)
             node = self._inodes[node.parent_ino]
-            chain.append(node)
         chain.reverse()
+        result = tuple(chain)
         if memo is not None:
-            memo.store_chain(ino, tuple(chain))
-        return chain
-
-    def ancestor_inos(self, ino: int) -> Tuple[int, ...]:
-        """Ancestor inos of ``ino``, root first (excludes ``ino``).
-
-        Ino-only twin of :meth:`ancestors` for callers that never touch
-        the inode objects; memo hits return a shared immutable tuple with
-        no per-call copy.  Do not mutate the result.
-        """
-        memo = self._memo
-        if memo is not None:
-            cached = memo.ino_chains.get(ino)
-            if cached is not None:
-                memo.hits += 1
-                return cached
-            self.ancestors(ino)  # miss: populate both chain caches
-            return memo.ino_chains[ino]
-        return tuple(node.ino for node in self.ancestors(ino))
+            memo.store_chain(ino, result)
+        return result
 
     def is_ancestor_ino(self, candidate: int, ino: int) -> bool:
         """True if ``candidate`` is a proper ancestor directory of ``ino``."""
@@ -276,20 +290,12 @@ class Namespace:
     def disable_resolution_memo(self) -> None:
         self._memo = None
 
-    def attach_structure_watcher(self, watcher) -> None:
-        """Attach one extra precise-invalidation consumer (duck-typed:
-        anything with ``invalidate_ino(ino)``, e.g. the cluster's
-        distribution-info memo).  Same lifecycle as the resolution memo."""
-        self._structure_watcher = watcher
-
     def _structure_changed(self, ino: int) -> None:
         """One dentry/chain mutation happened at ``ino``: precise-invalidate
-        the memos and bump the coarse epoch."""
+        the memo and bump the coarse epoch."""
         self.structure_epoch += 1
         if self._memo is not None:
             self._memo.invalidate_ino(ino)
-        if self._structure_watcher is not None:
-            self._structure_watcher.invalidate_ino(ino)
 
     # ------------------------------------------------------------------
     # orphans (unlinked while open, §4.5)
@@ -336,7 +342,6 @@ class Namespace:
         parent.children[name] = inode.ino  # type: ignore[index]
         self._listings.pop(parent.ino, None)
         parent.mtime = max(parent.mtime, mtime)
-        self.dentry_add_epoch += 1
         return inode
 
     def link(self, target: Path, new_path: Path, mtime: float = 0.0) -> Inode:
@@ -353,7 +358,6 @@ class Namespace:
         new_parent.children[name] = inode.ino  # type: ignore[index]
         self._listings.pop(new_parent.ino, None)
         new_parent.mtime = max(new_parent.mtime, mtime)
-        self.dentry_add_epoch += 1
         self._extra_links.setdefault(inode.ino, set()).add(
             (new_parent.ino, name))
         inode.nlink += 1

@@ -54,10 +54,6 @@ class Strategy(abc.ABC):
         #: state are unchanged.  ``None`` when the fast lane is disabled.
         self._auth_cache: Optional[Dict[int, int]] = None
         self._auth_epoch = -1
-        #: monotonic generation counter bumped on every partition-state
-        #: mutation — lets downstream memos (distribution info) key their
-        #: validity on it without subscribing to strategy internals
-        self._auth_gen = 0
 
     def bind(self, ns: Namespace) -> None:
         """Attach the namespace and build the initial partition."""
@@ -93,7 +89,6 @@ class Strategy(abc.ABC):
 
     def _authority_changed(self) -> None:
         """Partition state mutated: drop every memoised authority."""
-        self._auth_gen += 1
         if self._auth_cache is not None:
             self._auth_cache.clear()
 
@@ -114,11 +109,6 @@ class Strategy(abc.ABC):
         """
         authority_of_ino = self.authority_of_ino
         return [ino for ino in inos if authority_of_ino(ino) == node_id]
-
-    def authority_of_path(self, path: Path) -> int:
-        """Authority for the inode currently at ``path``."""
-        assert self.ns is not None
-        return self.authority_of_ino(self.ns.resolve(path).ino)
 
     def authority_of_new(self, path: Path, parent_ino: int) -> int:
         """Authority for an entry about to be created at ``path``.

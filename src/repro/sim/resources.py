@@ -87,13 +87,6 @@ class Resource:
         self._waiting.append(req)
         return req
 
-    def try_acquire(self) -> bool:
-        """Claim a slot synchronously; True on success (caller must release)."""
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            return True
-        return False
-
     def release(self) -> None:
         """Return a slot, handing it to the oldest waiter if any."""
         if self._in_use <= 0:

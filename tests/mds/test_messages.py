@@ -1,11 +1,14 @@
-"""Message-type invariants: the shared empty-locations mapping and the
-cluster-wide distribution-info memo behind it."""
+"""Message-type invariants: the shared empty-locations mapping, and the
+distribution info (§4.4 reply hints) checked by content against an
+uncached walk of the dentry tree."""
 
 import pytest
 
-from repro._fastpath import fastpath_enabled
-from repro.mds import MdsRequest, OpType
+from repro import _fastpath
+from repro.api import build_simulation, shift_config
+from repro.mds import OpType
 from repro.mds.messages import ANY_NODE, EMPTY_LOCATIONS, MdsReply
+from repro.mds.node import MdsNode
 from repro.namespace import path as p
 
 from .conftest import make_cluster, run_request
@@ -33,89 +36,111 @@ def test_empty_locations_survive_real_replies():
     assert reply.locations[()] == ANY_NODE
 
 
-def assert_memo_hit(served, expected):
-    """The same hints always; the same mapping object only when the fast
-    lane's memo served them (with it off every walk builds a new dict)."""
-    assert served == expected
-    if fastpath_enabled():
-        assert served is expected
+# ----------------------------------------------------------------------
+# distribution info by content
+# ----------------------------------------------------------------------
+def expected_hints(cluster, path):
+    """The hints ``path`` should carry, from first principles: follow
+    ``children`` from the root until a component is missing or a file is
+    in the way, asking the strategy's uncached authority hook."""
+    ns, strategy = cluster.ns, cluster.strategy
+    hints = {(): ANY_NODE}
+    node = ns.root
+    for depth, name in enumerate(path, 1):
+        if not node.is_dir or name not in node.children:
+            break
+        node = ns.inode(node.children[name])
+        hints[path[:depth]] = (ANY_NODE if node.ino in cluster.hot_inos
+                               else strategy._authority_of_ino(node.ino))
+    return hints
 
 
-def verify_memo(cluster):
-    """The memo's index invariants, when the fast lane built one."""
-    if cluster._dist_memo is not None:
-        cluster._dist_memo.verify_invariants()
+def hints_of(cluster, text):
+    path = p.parse(text)
+    served = cluster.nodes[0]._distribution_info(path)
+    assert served == expected_hints(cluster, path)
+    return served
 
 
-def test_distribution_info_memo_hits_and_invalidates():
-    """With the fast lane on, identical reply hints come from one shared
-    mapping; hot-set, partition, and structure changes invalidate it —
-    precisely, for the walks the change can actually affect."""
+def test_hints_follow_a_hot_set_toggle():
     env, ns, cluster = make_cluster()
-    node = cluster.nodes[0]
-    path = p.parse("/home/alice/src/main.c")
-    first = node._distribution_info(path)
-    second = node._distribution_info(path)
-    assert_memo_hit(second, first)
+    text = "/home/alice/src/main.c"
+    src = p.parse("/home/alice/src")
+    owner = cluster.strategy.authority_of_ino(ns.resolve(src).ino)
+    assert hints_of(cluster, text)[src] == owner
 
+    cluster.hot_inos.add(ns.resolve(src).ino)
+    hot = hints_of(cluster, text)
+    assert hot[src] == ANY_NODE
+    assert hot[p.parse(text)] == owner  # only the hot prefix changed
+
+    cluster.hot_inos.clear()
+    assert hints_of(cluster, text)[src] == owner
+
+
+def test_hints_follow_a_delegation():
+    env, ns, cluster = make_cluster()
+    text = "/home/alice/src/main.c"
     src_ino = ns.resolve(p.parse("/home/alice/src")).ino
-    if cluster._dist_memo is not None:
-        cluster._dist_memo.invalidate_ino(src_ino)  # hot toggle on the walk
-    third = node._distribution_info(path)
-    assert third is not second
-    assert third == second  # same content: nothing actually moved
+    before = hints_of(cluster, text)
+    moved_to = (before[p.parse(text)] + 1) % cluster.n_mds
+
+    # ``delegate`` reports the new partition state through
+    # ``_authority_changed()``, as every partition mutation must
+    cluster.strategy.delegate(src_ino, moved_to)
+    after = hints_of(cluster, text)
+    assert after[p.parse("/home/alice/src")] == moved_to
+    assert after[p.parse(text)] == moved_to
+    assert after[p.parse("/home/alice")] == before[p.parse("/home/alice")]
+
+
+def test_hints_grow_when_mkdir_extends_a_short_walk():
+    env, ns, cluster = make_cluster()
+    text = "/home/alice/newdir/readme"
+    short = hints_of(cluster, text)
+    assert len(short) == 3  # root, home, alice: newdir is missing
 
     ns.mkdir(p.parse("/home/alice/newdir"), mode=0o755, owner=0, mtime=0.0)
-    fourth = node._distribution_info(path)
-    # complete walk: a new dentry cannot change it
-    assert_memo_hit(fourth, third)
-
-    cluster.strategy._authority_changed()
-    fifth = node._distribution_info(path)
-    assert fifth is not fourth  # partition generation bumped: full clear
-
-    ns.unlink(p.parse("/home/alice/src/main.c"))
-    sixth = node._distribution_info(path)
-    assert sixth is not fifth  # namespace reported the structural change
-    assert len(sixth) < len(fifth)  # the walk now ends early
-    verify_memo(cluster)
+    extended = hints_of(cluster, text)
+    assert len(extended) == 4
+    assert p.parse("/home/alice/newdir") in extended
 
 
-def test_truncated_distribution_walk_revalidates_on_creation():
-    """A memoised walk that ended early (unresolvable component) must be
-    recomputed once a creation could extend it — the staleness hole that
-    ``dentry_add_epoch`` exists to close."""
+def test_hints_shrink_when_unlink_cuts_a_walk_short():
     env, ns, cluster = make_cluster()
-    node = cluster.nodes[0]
-    path = p.parse("/home/alice/newdir/readme")
-    short = node._distribution_info(path)
-    assert len(short) < len(path) + 1  # walk stopped early
-    assert_memo_hit(node._distribution_info(path), short)  # while truncated
+    text = "/home/alice/src/main.c"
+    ns.resolve(p.parse(text))  # a memoised walk the unlink must drop
+    assert len(hints_of(cluster, text)) == 5
 
-    ns.mkdir(p.parse("/home/alice/newdir"), mode=0o755, owner=0, mtime=0.0)
-    extended = node._distribution_info(path)
-    assert extended is not short
-    assert len(extended) == len(short) + 1  # one more component resolved
+    ns.unlink(p.parse(text))
+    cut = hints_of(cluster, text)
+    assert len(cut) == 4
+    assert p.parse(text) not in cut
 
 
-def test_hot_set_mutations_invalidate_only_affected_walks():
-    """Dropping a hot item invalidates exactly the memoised walks that
-    pass through it; unrelated paths keep their entries."""
-    env, ns, cluster = make_cluster()
-    node = cluster.nodes[0]
-    ino = ns.resolve(p.parse("/usr/pkg0/bin0")).ino
-    cluster.hot_inos.add(ino)
-    node.replicas.register(ino, 1)
+@pytest.mark.parametrize("fastpath", [True, False], ids=["fast", "reference"])
+def test_every_reply_hint_of_a_shift_run_matches_an_uncached_walk(
+        monkeypatch, fastpath):
+    """Run-level oracle over a workload with both migrations and
+    traffic-control replication: every hint mapping any node builds must
+    equal the uncached walk at that instant."""
+    monkeypatch.setattr(_fastpath, "ENABLED", fastpath)
+    served = MdsNode._distribution_info
+    checked = []
 
-    through = node._distribution_info(p.parse("/usr/pkg0/bin0"))
-    unrelated = node._distribution_info(p.parse("/home/alice/notes.txt"))
+    def checking(node, path):
+        hints = served(node, path)
+        assert hints == expected_hints(node.cluster, path)
+        checked.append(path)
+        return hints
 
-    def drop():
-        yield from node._invalidate_replicas(ino)
+    monkeypatch.setattr(MdsNode, "_distribution_info", checking)
+    cfg = shift_config("DynamicSubtree", 0.05, seed=42)
+    sim = build_simulation(cfg)
+    sim.run_to(cfg.run_until_s)
 
-    env.run(until=env.process(drop()))
-    assert ino not in cluster.hot_inos
-    assert node._distribution_info(p.parse("/usr/pkg0/bin0")) is not through
-    assert_memo_hit(node._distribution_info(p.parse("/home/alice/notes.txt")),
-                    unrelated)
-    verify_memo(cluster)
+    nodes = sim.cluster.nodes
+    assert (sim.cluster.ns.resolution_memo is not None) is fastpath
+    assert sum(node.stats.migrations_out for node in nodes) > 0
+    assert sum(node.stats.replications_pushed for node in nodes) > 0
+    assert len(checked) > 1000

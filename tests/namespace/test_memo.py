@@ -209,3 +209,75 @@ def test_memo_unlink_then_recreate(memo_ns):
     fresh = ns.create_file(path)
     assert ns.resolve(path).ino == fresh.ino != old
     ns.resolution_memo.verify_invariants()
+
+
+# ----------------------------------------------------------------------
+# Namespace.walk: the longest resolvable prefix, served by the memo
+# ----------------------------------------------------------------------
+def _inos(walk):
+    return [node.ino for node in walk]
+
+
+def test_walk_stops_at_a_missing_component(ns):
+    walk = ns.walk(("home", "carol", "x"))
+    assert isinstance(walk, tuple)
+    assert _inos(walk) == [ns.resolve(("home",)).ino]
+    assert ns.walk(()) == ()
+
+
+def test_walk_stops_at_a_file_component(ns):
+    notes = ("home", "alice", "notes.txt")
+    walk = ns.walk(notes + ("deeper", "still"))
+    assert isinstance(walk, tuple)
+    assert len(walk) == 3
+    assert walk[-1] is ns.resolve(notes)
+
+
+def test_walk_memo_hit_matches_cold_walk(ns):
+    path = ("home", "alice", "src", "main.c")
+    cold = ns.walk(path)  # nothing memoised yet: the tree walk
+    assert path not in ns.resolution_memo.paths
+    ns.resolve(path)
+    hit = ns.walk(path)
+    assert hit is ns.resolution_memo.paths[path][1]
+    assert type(hit) is type(cold) is tuple
+    assert hit == cold
+    assert hit[-1] is ns.resolve(path)
+
+
+# ----------------------------------------------------------------------
+# the single chain table: ancestors() is ancestor_inos() mapped to inodes
+# ----------------------------------------------------------------------
+@pytest.fixture(params=["memo", "no-memo"])
+def chain_ns(request, ns):
+    if request.param == "no-memo":
+        ns.disable_resolution_memo()
+    return ns
+
+
+def _assert_chains_agree(ns, ino):
+    assert [a.ino for a in ns.ancestors(ino)] == list(ns.ancestor_inos(ino))
+    # asked again: with the memo on, this time both are memo hits
+    assert [a.ino for a in ns.ancestors(ino)] == list(ns.ancestor_inos(ino))
+    if ns.resolution_memo is not None:
+        ns.resolution_memo.verify_invariants()
+
+
+def test_chains_agree_after_rename(chain_ns):
+    ns = chain_ns
+    ino = ns.resolve(("home", "alice", "src", "main.c")).ino
+    _assert_chains_agree(ns, ino)
+    ns.rename(("home", "alice", "src"), ("usr", "src"))
+    _assert_chains_agree(ns, ino)
+    assert ns.ancestor_inos(ino)[-1] == ns.resolve(("usr", "src")).ino
+
+
+def test_chains_agree_after_unlink(chain_ns):
+    ns = chain_ns
+    ls = ("usr", "bin", "ls")
+    ino = ns.resolve(ls).ino
+    ns.link(ls, ("home", "bob", "ls"))
+    _assert_chains_agree(ns, ino)
+    ns.unlink(ls)  # the surviving link becomes the embedding dentry
+    _assert_chains_agree(ns, ino)
+    assert ns.ancestor_inos(ino)[-1] == ns.resolve(("home", "bob")).ino
